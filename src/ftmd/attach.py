@@ -13,9 +13,9 @@ one-piece decomposition carry a non-empty anchor set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+from .cover import min_cover, vertices
 from .errors import (
     AnchorReuseWithinPiece,
     DisconnectedInput,
@@ -37,8 +37,8 @@ from .resolve import (
     DEFAULT_ORACLE_CAP,
     FtReport,
     _as_mask,
-    _attaching_ft_resolves,
     _check_cap,
+    _ft_resolves,
     _validated,
 )
 
@@ -160,27 +160,31 @@ def is_attaching_ft_resolving(g: Graph, at: Iterable[int], f: Iterable[int]) -> 
     overlap = set(av) & set(fv)
     if overlap:
         raise OverlapError(f"candidate set touches anchors: {sorted(overlap)}")
-    return _attaching_ft_resolves(g.dist.distinguisher_masks, _as_mask(fv), _as_mask(av))
+    # A mask that an anchor meets always survives: with two anchors in it,
+    # or with one anchor and a member of f, two landmarks are left after
+    # any deletion from f; with one anchor and no member of f, the anchor
+    # alone remains.  So exactly the masks no anchor meets need f twice.
+    return _ft_resolves(_missed(g, _as_mask(av)), _as_mask(fv))
+
+
+def _missed(g: Graph, at_mask: int) -> list[int]:
+    return [m for m in g.dist.distinguisher_masks if not m & at_mask]
 
 
 def fdim_star(g: Graph, at: Iterable[int], cap: int | None = None) -> FtReport:
     """Minimum anchored fault-tolerant candidate set, lexicographically first.
 
-    With an empty anchor set this degenerates to the plain fault-tolerant
+    By the equivalence in ``is_attaching_ft_resolving`` this is the
+    smallest set of non-anchor vertices that meets twice every mask no
+    anchor meets, found by the minimum-cover search of ``ftmd.cover``.  With
+    an empty anchor set this degenerates to the plain fault-tolerant
     dimension, which keeps sums over anchor-free one-piece decompositions
     well defined.
     """
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "anchored search")
-    av = _validated(g.n, at)
-    at_mask = _as_mask(av)
-    masks = g.dist.distinguisher_masks
-    anchored = set(av)
-    free = [v for v in range(g.n) if v not in anchored]
-    for k in range(0, len(free) + 1):
-        for combo in combinations(free, k):
-            if _attaching_ft_resolves(masks, _as_mask(combo), at_mask):
-                return FtReport(value=k, witness=combo, method="oracle")
-    raise AssertionError("unreachable: all non-anchor vertices together always qualify")
+    at_mask = _as_mask(_validated(g.n, at))
+    value, witness = min_cover(_missed(g, at_mask), 2, ((1 << g.n) - 1) & ~at_mask)
+    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 
 def fdim_star_closed_form(family: str, n: int, anchors: Iterable[int]) -> int:
@@ -256,16 +260,20 @@ def check_C1(g: Graph, at: Iterable[int]) -> C1Check:
     return C1Check(holds=violation is None, cases=_c1_cases(g, av), violation=violation)
 
 
+def _pairs(av: tuple[int, ...]):
+    return ((u, v) for i, u in enumerate(av) for v in av[i + 1:])
+
+
 def _c1_cases(g: Graph, av: tuple[int, ...]) -> tuple[int, ...]:
     d = g.dist
     cases = []
     if len(av) == g.n:
         cases.append(1)
     if len(av) >= 2:
-        if d.diameter == 2 and all(d.d(u, v) >= 2 for u, v in combinations(av, 2)):
+        if d.diameter == 2 and all(d.d(u, v) >= 2 for u, v in _pairs(av)):
             cases.append(2)
         ecc = d.eccentricities
-        if all(ecc[u] == ecc[v] == d.d(u, v) for u, v in combinations(av, 2)):
+        if all(ecc[u] == ecc[v] == d.d(u, v) for u, v in _pairs(av)):
             cases.append(3)
     if is_even_graph(d):
         anchored = set(av)

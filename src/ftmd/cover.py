@@ -1,0 +1,340 @@
+"""Exact multicover search over vertex masks.
+
+A landmark set resolves a graph when it meets every distinguisher mask
+once, and it tolerates the loss of any one landmark when it meets every
+mask twice: metric dimension and its fault-tolerant variants are hitting
+set and 2-fold multicover problems over the same masks (Khuller,
+Raghavachari & Rosenfeld 1996; Hernando, Mora, Slater & Wood 2008).  Every
+exact search in the package runs on one ``Cover``.
+
+Reduction.  Masks are restricted to the universe of allowed vertices and
+only the inclusion-minimal distinct ones are kept as *rows*: a set that
+meets a mask d times meets each of its supersets d times.
+
+Search.  Rows are the bits of one integer, and each vertex keeps the set
+of rows that contain it, so every step of the search is a handful of
+integer operations.  A node knows the rows that still need one or two more
+hits and the vertices not yet decided.  It fails when some row has fewer
+free vertices than it needs, forces every free vertex of a row with no
+slack, and prunes on two lower bounds for the vertices still to pick: a
+greedy packing of rows with pairwise disjoint free vertices (each needs
+its own hits) and the fewest free vertices whose unmet-row counts add up to
+the total remaining need.  Otherwise it branches include/exclude on a
+vertex of the unmet row with the least slack (slacks of two and more count
+as equal, and the first such row is taken): the vertex that meets the most
+unmet rows, the lowest on ties.  With one vertex left to pick, the
+candidates are narrowed row by row; with two, one of them lies in the
+first unmet row.
+
+Witnesses.  For sets of one size, the lexicographically first one contains
+the smallest element of the symmetric difference.  So once the minimum
+size is known, fixing each vertex in, in order, whenever some minimum cover
+agrees with the choices so far yields the lexicographically first minimum
+cover; a vertex already in the current witness needs no search.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable
+
+
+def bits(mask: int) -> list[int]:
+    """The one-bit parts of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def vertices(mask: int) -> list[int]:
+    """The vertices of a vertex bitmask, ascending."""
+    return [b.bit_length() - 1 for b in bits(mask)]
+
+
+class Cover:
+    """The reduced rows of a mask list over a universe of allowed vertices.
+
+    ``inc`` maps each vertex, as its one-bit mask, to the rows that contain
+    it, as a bitmask over row indices.
+    """
+
+    def __init__(self, masks: Iterable[int], universe: int) -> None:
+        rows: list[int] = []
+        for m in sorted(dict.fromkeys(m & universe for m in masks), key=int.bit_count):
+            for kept in rows:
+                if not kept & ~m:
+                    break  # m holds a kept row
+            else:
+                rows.append(m)
+        n = universe.bit_length()
+        columns = [0] * n
+        if rows:
+            # transpose the row bitmasks: row i becomes bit i of column v
+            strings = zip(*[format(m, f"0{n}b") for m in reversed(rows)])
+            columns = [int("".join(column), 2) for column in strings][::-1]
+        self.rows = tuple(rows)
+        self.universe = universe
+        self.inc = {1 << v: column for v, column in enumerate(columns)}
+        self.full = (1 << len(rows)) - 1
+        self._smallest: dict[int, tuple[int, int]] = {}
+
+    def _search(self, demand: int, budget: int, chosen: int, banned: int,
+                on_cover: Callable[[int], bool]) -> bool:
+        """Depth-first search for covers of at most ``budget`` vertices that
+        contain ``chosen`` and avoid ``banned``.  Calls ``on_cover`` with each
+        cover and stops as soon as it returns True; returns whether it did."""
+        rows, inc = self.rows, self.inc
+
+        def last_one(chosen: int, free: int, need1: int, need2: int) -> bool:
+            # the last vertex must lie in every unmet row: narrow the
+            # candidates row by row, smallest rows first
+            if need2:
+                return False
+            cand = free
+            while need1 and cand:
+                low = need1 & -need1
+                need1 ^= low
+                cand &= rows[low.bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                if on_cover(chosen | low):
+                    return True
+            return False
+
+        def last_two(chosen: int, free: int, need1: int, need2: int) -> bool:
+            # both of the last two vertices lie in every row that needs two
+            # more hits, and one of them lies in the first unmet row
+            if need2:
+                rest = need2
+                while rest and free.bit_count() > 1:
+                    low = rest & -rest
+                    rest ^= low
+                    free &= rows[low.bit_length() - 1]
+                if free.bit_count() < 2:
+                    return False
+                pool = free
+            else:
+                pool = rows[(need1 & -need1).bit_length() - 1] & free
+            while pool:
+                low = pool & -pool
+                pool ^= low
+                free &= ~low
+                x = inc[low]
+                rest = (need1 & ~x) | (need2 & x)
+                if rest:
+                    if last_one(chosen | low, free, rest, need2 & ~x):
+                        return True
+                elif on_cover(chosen | low):
+                    return True
+            return False
+
+        def visit(chosen: int, free: int, need1: int, need2: int, budget: int) -> bool:
+            # need1, need2: rows that still need at least one, two more hits
+            if not need1:
+                return on_cover(chosen)
+            if budget <= 2:
+                if budget == 2:
+                    return last_two(chosen, free, need1, need2)
+                return budget == 1 and last_one(chosen, free, need1, need2)
+            # c1..c4: unmet rows with at least 1..4 free vertices
+            c1 = c2 = c3 = c4 = 0
+            degrees = []
+            f = free
+            while f:
+                low = f & -f
+                f ^= low
+                x = inc[low] & need1
+                if x:
+                    degrees.append(x.bit_count())
+                    c4 |= c3 & x
+                    c3 |= c2 & x
+                    c2 |= c1 & x
+                    c1 |= x
+            if need1 & ~c1 or need2 & ~c2:
+                return False
+            once = need1 & ~need2
+            tight = (once & ~c2) | (need2 & ~c3)
+            if tight:
+                force = rows[(tight & -tight).bit_length() - 1] & free
+                k = force.bit_count()
+                if k > budget:
+                    return False
+                for b in bits(force):
+                    x = inc[b]
+                    need1, need2 = (need1 & ~x) | (need2 & x), need2 & ~x
+                return visit(chosen | force, free & ~force, need1, need2, budget - k)
+            # each pick lowers the total need by at most its unmet-row count
+            degrees.sort(reverse=True)
+            if sum(degrees[:budget]) < need1.bit_count() + need2.bit_count():
+                return False
+            # rows with pairwise disjoint free vertices each need their own
+            # picks; pack them greedily, scarcest first
+            bound = 0
+            cand = need1
+            for group in (c1 & ~c2, c2 & ~c3, c3 & ~c4, c4):
+                group &= cand
+                while group:
+                    low = group & -group
+                    bound += 2 if need2 & low else 1
+                    if bound > budget:
+                        return False
+                    block = 0
+                    m = rows[low.bit_length() - 1] & free
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        block |= inc[b]
+                    cand &= ~block
+                    group &= ~block
+            # branch on a row with slack 1 if there is one, else on the first
+            # unmet row, and there on the vertex meeting the most unmet rows
+            pick = (once & ~c3) | (need2 & ~c4) or need1
+            best = -1
+            m = rows[(pick & -pick).bit_length() - 1] & free
+            while m:
+                b = m & -m
+                m ^= b
+                hits = (inc[b] & need1).bit_count()
+                if hits > best:
+                    best, low = hits, b
+            x = inc[low]
+            if visit(chosen | low, free & ~low, (need1 & ~x) | (need2 & x), need2 & ~x,
+                     budget - 1):
+                return True
+            return visit(chosen, free & ~low, need1, need2, budget)
+
+        if chosen.bit_count() > budget:
+            return False
+        need1 = self.full
+        need2 = need1 if demand == 2 else 0
+        for b in bits(chosen):
+            x = inc[b]
+            need1, need2 = (need1 & ~x) | (need2 & x), need2 & ~x
+        free = self.universe & ~chosen & ~banned
+        return visit(chosen, free, need1, need2, budget - chosen.bit_count())
+
+    def find(self, demand: int, budget: int, chosen: int = 0, banned: int = 0) -> int | None:
+        """Some cover of at most ``budget`` vertices that contains ``chosen``
+        and avoids ``banned``, or None."""
+        found: list[int] = []
+
+        def stop(cover: int) -> bool:
+            found.append(cover)
+            return True
+
+        self._search(demand, budget, chosen, banned, stop)
+        return found[0] if found else None
+
+    def all_covers(self, demand: int, size: int) -> list[int]:
+        """Every cover of ``size`` vertices, in lexicographic order, when no
+        smaller cover exists."""
+        found: list[int] = []
+
+        def keep(cover: int) -> bool:
+            found.append(cover)
+            return False
+
+        self._search(demand, size, 0, 0, keep)
+        return sorted(found, key=vertices)
+
+    def minimum(self, demand: int) -> tuple[int, int]:
+        """Size of the smallest cover and its lexicographically first witness."""
+        size, witness = self.smallest(demand)
+        return size, self._lex_first(demand, size, witness)
+
+    def smallest(self, demand: int) -> tuple[int, int]:
+        """Size of the smallest cover and some cover of that size, by raising
+        the size from a greedy packing bound; remembered per demand."""
+        known = self._smallest.get(demand)
+        if known is None:
+            known = self._smallest[demand] = self._smallest_search(demand)
+        return known
+
+    def _smallest_search(self, demand: int) -> tuple[int, int]:
+        if self.rows and self.rows[0].bit_count() < demand:
+            raise ValueError(f"some mask has fewer than {demand} allowed vertices")
+        bound = 0  # greedy packing of pairwise disjoint rows
+        cand = self.full
+        while cand:
+            bound += demand
+            for b in bits(self.rows[(cand & -cand).bit_length() - 1]):
+                cand &= ~self.inc[b]
+        for k in range(bound, self.universe.bit_count() + 1):
+            witness = self.find(demand, k)
+            if witness is not None:
+                return k, witness
+        raise AssertionError("unreachable: the whole universe meets every row")
+
+    def _lex_first(self, demand: int, size: int, witness: int) -> int:
+        """The lexicographically first cover of ``size`` vertices, given one
+        such cover, when no smaller cover exists."""
+        chosen = banned = 0
+        for bit in bits(self.universe):
+            if chosen.bit_count() == size:
+                break
+            if not witness & bit:
+                other = self.find(demand, size, chosen | bit, banned)
+                if other is None:
+                    banned |= bit
+                    continue
+                witness = other
+            chosen |= bit
+        return witness
+
+    def largest_minimal(self) -> tuple[int, int]:
+        """Size of the largest inclusion-minimal 2-fold cover and the
+        lexicographically first cover of that size.
+
+        A 2-fold cover S is minimal exactly when each member lies in some
+        row that S meets exactly twice: dropping the member leaves that row
+        met once.  A superset mask is never the only such row, since the
+        row inside it is met by the same two members.  Vertices are decided
+        in order, include before exclude, so covers come up in
+        lexicographic order and the first one of the final size is kept.  A
+        member that lost every row with at most two hits can never become
+        necessary again, and a vertex in no row with fewer than two hits
+        cannot join.
+        """
+        inc, full = self.inc, self.full
+        best_size = best = 0
+
+        def visit(chosen: int, free: int, h1: int, h2: int, h3: int, size: int) -> None:
+            # h1, h2, h3: rows that chosen meets at least once, twice, three times
+            nonlocal best_size, best
+            if h2 == full:
+                if size > best_size:
+                    best_size, best = size, chosen
+                return
+            short = full & ~h2
+            useful = c1 = c2 = 0
+            f = free
+            while f:
+                low = f & -f
+                f ^= low
+                x = inc[low] & short
+                if x:
+                    useful |= low
+                    c2 |= c1 & x
+                    c1 |= x
+            if short & ~c1 or full & ~h1 & ~c2:
+                return  # some row can no longer reach two hits
+            if size + useful.bit_count() <= best_size:
+                return
+            low = useful & -useful
+            x = inc[low]
+            n3 = h3 | (h2 & x)
+            if all(inc[b] & ~n3 for b in bits(chosen)):
+                visit(chosen | low, useful & ~low, h1 | x, h2 | (h1 & x), n3, size + 1)
+            visit(chosen, useful & ~low, h1, h2, h3, size)
+
+        visit(0, self.universe, 0, 0, 0, 0)
+        return best_size, best
+
+
+def min_cover(masks: Iterable[int], demand: int, universe: int) -> tuple[int, int]:
+    """Smallest set of universe vertices that meets every mask ``demand``
+    times (1 or 2): its size and its lexicographically first witness."""
+    return Cover(masks, universe).minimum(demand)

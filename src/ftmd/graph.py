@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .cover import Cover
 from .errors import (
     DisconnectedInput,
     DuplicateEdge,
@@ -71,22 +72,20 @@ class DistanceMatrix:
                     if row_u[w] != row_v[w]:
                         m |= 1 << w
                 masks.append(m)
-        masks.sort(key=_popcount)
+        masks.sort(key=int.bit_count)
         return tuple(masks)
 
     @cached_property
-    def twin_forced_mask(self) -> int:
-        """Union of all twin pairs (pairs distinguished only by themselves)."""
-        forced = 0
-        for m in self.distinguisher_masks:
-            if _popcount(m) > 2:
-                break  # masks are sorted ascending; a pair mask never has < 2 bits
-            forced |= m
-        return forced
+    def cover(self) -> Cover:
+        """The distinguisher masks reduced to their minimal members, indexed
+        for the exact searches."""
+        return Cover(self.distinguisher_masks, (1 << self.n) - 1)
 
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
+    @cached_property
+    def ft_minimum(self) -> tuple[int, int]:
+        """Fault-tolerant dimension and its lexicographically first witness
+        (as a vertex bitmask): the smallest set meeting every mask twice."""
+        return self.cover.minimum(2)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,28 @@
 """Exact landmark-set computations: metric dimension, the fault-tolerant
 variants, basis enumeration, and anchor-overlap statistics.
 
-All searches run on bitmask subsets against the per-pair distinguisher
-masks cached on the distance matrix: a set resolves the graph iff it meets
-every pair's mask, and it survives the loss of any single member iff it
-meets every mask twice.  Ties are always broken toward the
-lexicographically smallest witness so outputs are deterministic.
+Each pair of vertices has a distinguisher mask, cached on the distance
+matrix: the vertices at different distances from the two.  A set resolves
+the graph iff it meets every mask, and it survives the loss of any single
+member iff it meets every mask twice.  Every search here is one of those
+multicover problems, solved by the kernel in ``ftmd.cover`` on the masks
+reduced to their minimal members: minimum covers by raising the size from
+a packing bound with include/exclude branching on the scarcest mask, basis
+enumeration and membership with the same branching at the minimum size,
+and the largest minimal cover by a vertex-order search.  Ties are always
+broken toward the lexicographically smallest witness so outputs are
+deterministic.  The minimum fault-tolerant set is cached on the distance
+matrix, so the searches that build on it solve it once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
+from .cover import vertices
 from .errors import OrderCapExceeded
-from .graph import DistanceMatrix, Graph, twin_classes
+from .graph import DistanceMatrix, Graph
 
 DEFAULT_ORACLE_CAP = 16
 DEFAULT_LATTICE_CAP = 14
@@ -36,17 +43,6 @@ def _as_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 def _validated(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
@@ -76,20 +72,6 @@ def _ft_resolves(masks: tuple[int, ...], s: int) -> bool:
     return True
 
 
-def _attaching_ft_resolves(masks: tuple[int, ...], f: int, at: int) -> bool:
-    # A pair survives any single deletion from f when it keeps two
-    # landmarks in f | at, or when its only landmarks are anchors
-    # (anchors are never the ones removed).
-    fa = f | at
-    for m in masks:
-        if (m & fa).bit_count() >= 2:
-            continue
-        if not m & f and m & at:
-            continue
-        return False
-    return True
-
-
 def is_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
     """True when the distance vectors against s are pairwise distinct."""
     sv = _validated(d.n, s)
@@ -107,44 +89,32 @@ def is_ft_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
 
 
 def metric_dimension(g: Graph) -> FtReport:
-    """Minimum resolving set, by ascending subset search.
+    """Minimum resolving set: the smallest set meeting every distinguisher
+    mask once, lexicographically first.
 
-    A twin class of size t forces at least t-1 members into any resolving
-    set, which both bounds the search from below and filters candidates
-    cheaply before the full distinctness check.
+    The search runs on the masks with duplicates and supersets dropped.
+    It raises the size from a greedy packing bound (pairwise disjoint masks
+    each need their own landmark) and branches include/exclude on the unmet
+    mask with the least slack.  Then it fixes vertices in order to recover
+    the lexicographically first witness.  A twin pair's mask holds just the
+    pair, so it has the least slack and is branched on first; no separate
+    twin-class rule is needed.
     """
-    masks = g.dist.distinguisher_masks
-    class_masks = [
-        (_as_mask(c), len(c) - 1) for c in twin_classes(g) if len(c) >= 2
-    ]
-    lower = max(1, sum(need for _, need in class_masks))
-    for k in range(lower, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            s = _as_mask(combo)
-            if any((s & cm).bit_count() < need for cm, need in class_masks):
-                continue
-            if _resolves(masks, s):
-                return FtReport(value=k, witness=combo, method="oracle")
-    raise AssertionError("unreachable: the full vertex set resolves every graph")
+    value, witness = g.dist.cover.minimum(1)
+    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 
 def _minimum_ft_set(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Smallest fault-tolerant resolving set, lexicographically first.
 
-    Twin classes of size >= 2 sit inside every fault-tolerant resolving
-    set (losing one twin must leave the other covered), so the search only
-    extends that forced core.
+    The same search as ``metric_dimension`` with every mask needing two
+    hits.  A mask with exactly two vertices (a twin pair) has no slack, so
+    both twins are forced in before any branching.  The size is remembered
+    on the graph's reduced masks and the witness on its distance matrix,
+    so basis enumeration, membership and ``theta`` reuse them.
     """
-    masks = g.dist.distinguisher_masks
-    forced = g.dist.twin_forced_mask
-    free = [v for v in range(g.n) if not (forced >> v) & 1]
-    base = forced.bit_count()
-    for k in range(max(2, base), g.n + 1):
-        for combo in combinations(free, k - base):
-            s = forced | _as_mask(combo)
-            if _ft_resolves(masks, s):
-                return k, _mask_to_tuple(s)
-    raise AssertionError("unreachable: the full vertex set is fault-tolerant for n >= 2")
+    value, witness = g.dist.ft_minimum
+    return value, tuple(vertices(witness))
 
 
 def fdim(g: Graph, cap: int | None = None) -> FtReport:
@@ -155,63 +125,73 @@ def fdim(g: Graph, cap: int | None = None) -> FtReport:
 
 
 def enumerate_ft_bases(g: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All fault-tolerant resolving sets of minimum size, in lexicographic order."""
+    """All fault-tolerant resolving sets of minimum size, in lexicographic order.
+
+    One search at the minimum size that keeps every cover it reaches, with
+    the branching and bounds of the minimum search.
+    """
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis enumeration")
-    value, _ = _minimum_ft_set(g)
-    masks = g.dist.distinguisher_masks
-    forced = g.dist.twin_forced_mask
-    free = [v for v in range(g.n) if not (forced >> v) & 1]
-    out = []
-    for combo in combinations(free, value - forced.bit_count()):
-        s = forced | _as_mask(combo)
-        if _ft_resolves(masks, s):
-            out.append(_mask_to_tuple(s))
-    return tuple(out)
+    value, _ = g.dist.cover.smallest(2)
+    return tuple(tuple(vertices(b)) for b in g.dist.cover.all_covers(2, value))
 
 
 def fdim_plus(g: Graph, cap: int | None = None) -> FtReport:
     """Maximum size of an inclusion-minimal fault-tolerant resolving set.
 
-    Fault tolerance is monotone under supersets, so a set is minimal iff
-    none of its one-smaller subsets works; the scan walks cardinalities
-    downward and returns the first minimal set it meets.
+    A fault-tolerant set is minimal exactly when every member lies in some
+    mask that the set meets exactly twice: dropping that member leaves the
+    mask met once.  The search decides vertices in order on the reduced
+    masks, include before exclude, and keeps the lexicographically first
+    set of the largest size.  It prunes a branch once a member has lost
+    every mask with at most two hits, skips vertices that lie in no mask
+    still short of two hits, and stops when the vertices left cannot lift
+    the set above the best size found.
     """
     _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "minimal-set scan")
-    masks = g.dist.distinguisher_masks
-    cache: dict[int, bool] = {}
-
-    def ft(s: int) -> bool:
-        hit = cache.get(s)
-        if hit is None:
-            hit = cache[s] = _ft_resolves(masks, s)
-        return hit
-
-    for k in range(g.n, 1, -1):
-        for combo in combinations(range(g.n), k):
-            s = _as_mask(combo)
-            if ft(s) and not any(ft(s & ~(1 << x)) for x in combo):
-                return FtReport(value=k, witness=combo, method="oracle")
-    raise AssertionError("unreachable: a minimum fault-tolerant set is itself minimal")
+    value, witness = g.dist.cover.largest_minimal()
+    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 
 def theta(g: Graph, at: Iterable[int], cap: int | None = None) -> int:
     """Largest overlap between the anchor set and any fault-tolerant basis,
     or the full fault-tolerant dimension when the anchors already resolve
-    the graph on their own."""
+    the graph on their own.
+
+    Anchors are tried in order, in before out, and an anchor joins only
+    when some basis holds it together with those already in; since any
+    subset of a feasible anchor set is feasible, this finds the largest
+    overlap without listing the bases.
+    """
     _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "anchor-overlap scan")
     av = _validated(g.n, at)
-    masks = g.dist.distinguisher_masks
-    if av and _resolves(masks, _as_mask(av)):
-        return _minimum_ft_set(g)[0]
-    at_mask = _as_mask(av)
-    return max(
-        (_as_mask(b) & at_mask).bit_count() for b in enumerate_ft_bases(g, cap=g.n)
-    )
+    value, _ = g.dist.cover.smallest(2)
+    if av and _resolves(g.dist.distinguisher_masks, _as_mask(av)):
+        return value
+    cover = g.dist.cover
+    best = 0
+
+    def walk(i: int, chosen: int, count: int) -> None:
+        nonlocal best
+        if count + len(av) - i <= best:
+            return
+        if i == len(av):
+            best = count
+            return
+        bit = 1 << av[i]
+        if cover.find(2, value, chosen | bit) is not None:
+            walk(i + 1, chosen | bit, count + 1)
+        walk(i + 1, chosen, count)
+
+    walk(0, 0, 0)
+    return best
 
 
 def in_some_ft_basis(g: Graph, v: int, cap: int | None = None) -> bool:
-    """Whether vertex v appears in at least one fault-tolerant basis."""
+    """Whether vertex v appears in at least one fault-tolerant basis: one
+    search for a minimum cover with v forced in, unless the cached witness
+    already holds v."""
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis membership")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    return any(v in b for b in enumerate_ft_bases(g, cap=g.n))
+    value, witness = g.dist.cover.smallest(2)
+    return bool(witness >> v & 1) or g.dist.cover.find(2, value, chosen=1 << v) is not None

@@ -42,22 +42,34 @@ def all_subsets(items):
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
 
 
-def metric_dimension(n, edges):
+# The first hit of an ascending scan in ``combinations`` order is the
+# lexicographically first smallest set, which is the witness the library
+# promises.
+
+def first_resolving_set(n, edges):
     dist = nx_distances(n, edges)
     for r in range(1, n + 1):
         for s in combinations(range(n), r):
             if resolves(dist, n, s):
-                return r
+                return s
     raise AssertionError("V resolves every graph")
 
 
-def fdim(n, edges):
+def first_ft_set(n, edges):
     dist = nx_distances(n, edges)
     for r in range(2, n + 1):
         for s in combinations(range(n), r):
             if ft_resolves(dist, n, s):
-                return r
+                return s
     raise AssertionError("V is fault-tolerant for n >= 2")
+
+
+def metric_dimension(n, edges):
+    return len(first_resolving_set(n, edges))
+
+
+def fdim(n, edges):
+    return len(first_ft_set(n, edges))
 
 
 def ft_bases(n, edges):
@@ -78,8 +90,16 @@ def minimal_ft_sets(n, edges):
     return [s for s in ft if not any(other < frozenset(s) for other in ft_frozen)]
 
 
+def first_largest_minimal_ft_set(n, edges):
+    """Lexicographically first of the largest minimal fault-tolerant sets
+    (``all_subsets`` lists each size in lexicographic order)."""
+    sets = minimal_ft_sets(n, edges)
+    largest = max(len(s) for s in sets)
+    return next(s for s in sets if len(s) == largest)
+
+
 def fdim_plus(n, edges):
-    return max(len(s) for s in minimal_ft_sets(n, edges))
+    return len(first_largest_minimal_ft_set(n, edges))
 
 
 def attaching_ft_resolves(dist, n, at, f):
@@ -89,21 +109,28 @@ def attaching_ft_resolves(dist, n, at, f):
     return all(resolves(dist, n, [x for x in union if x != y]) for y in f)
 
 
-def fdim_star(n, edges, at):
+def first_attaching_set(n, edges, at):
     dist = nx_distances(n, edges)
     free = [v for v in range(n) if v not in set(at)]
     for r in range(len(free) + 1):
         for f in combinations(free, r):
             if attaching_ft_resolves(dist, n, at, f):
-                return r
+                return f
     raise AssertionError("all non-anchor vertices together always qualify")
 
 
+def fdim_star(n, edges, at):
+    return len(first_attaching_set(n, edges, at))
+
+
 def theta(n, edges, at):
-    dist = nx_distances(n, edges)
+    return theta_from_bases(nx_distances(n, edges), n, ft_bases(n, edges), at)
+
+
+def theta_from_bases(dist, n, bases, at):
     if at and resolves(dist, n, sorted(at)):
-        return fdim(n, edges)
-    return max(len(set(b) & set(at)) for b in ft_bases(n, edges))
+        return len(bases[0])
+    return max(len(set(b) & set(at)) for b in bases)
 
 
 def automorphisms(n, edges):

@@ -10,11 +10,13 @@ import bruteforce as bf
 from conftest import connected_graphs, random_connected
 from ftmd import (
     OrderCapExceeded,
+    build_graph,
     complete_graph,
     cycle_graph,
     enumerate_ft_bases,
     fdim,
     fdim_plus,
+    fdim_star,
     hypercube_graph,
     in_some_ft_basis,
     is_ft_resolving,
@@ -259,3 +261,46 @@ def test_automorphism_invariance_of_bases():
         for image in bf.automorphisms(g.n, g.edges):
             for b in bases:
                 assert frozenset(image[v] for v in b) in bases
+
+
+def test_witnesses_match_reference_over_atlas(atlas_upto_6):
+    # values alone would pass a search that returns another optimal set;
+    # the lexicographically first witness is part of the contract
+    for g in atlas_upto_6:
+        n, edges = g.n, g.edges
+        first = bf.first_resolving_set(n, edges)
+        rep = metric_dimension(g)
+        assert (rep.value, rep.witness) == (len(first), first)
+        first = bf.first_ft_set(n, edges)
+        rep = fdim(g)
+        assert (rep.value, rep.witness) == (len(first), first)
+        first = bf.first_largest_minimal_ft_set(n, edges)
+        rep = fdim_plus(g)
+        assert (rep.value, rep.witness) == (len(first), first)
+        bases = bf.ft_bases(n, edges)
+        assert list(enumerate_ft_bases(g)) == bases
+        dist = bf.nx_distances(n, edges)
+        anchor_sets = [(v,) for v in range(n)] + list(itertools.combinations(range(n), 2))
+        for at in anchor_sets:
+            first = bf.first_attaching_set(n, edges, at)
+            rep = fdim_star(g, at)
+            assert (rep.value, rep.witness) == (len(first), first), (edges, at)
+            assert theta(g, at) == bf.theta_from_bases(dist, n, bases, at), (edges, at)
+
+
+def test_membership_and_theta_agree_with_enumeration():
+    # beyond brute-force reach: membership and theta run their own searches,
+    # so compare them with the basis list of a separately built graph
+    rng = random.Random(11)
+    for n in range(10, 15):
+        for _ in range(2):
+            g = random_connected(rng, n)
+            bases = enumerate_ft_bases(build_graph(n, g.edges))
+            union = set().union(*bases)
+            assert [in_some_ft_basis(g, v) for v in range(n)] == [v in union for v in range(n)]
+            for at in (sorted(rng.sample(range(n), 2)), sorted(rng.sample(range(n), 3))):
+                if is_resolving(g.dist, at):
+                    expected = len(bases[0])
+                else:
+                    expected = max(len(set(b) & set(at)) for b in bases)
+                assert theta(g, at) == expected, (g.edges, at)
