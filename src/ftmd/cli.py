@@ -12,27 +12,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .attach import decomposition_from_json, fdim_star
-from .compose import (
-    THEOREMS_ON_DECOMPOSITIONS,
-    THEOREMS_ON_ROOTED_SPECS,
-    TheoremResult,
-    block_graph_fdim,
-    corollary3_fdim,
-    cor5_fdim,
-    decomposition_suite,
-    prop1_lower_bound,
-    prop7_fdim,
-    prop9_bounds,
-    rooted_spec_from_json,
-    theorem2_fdim,
-    verify,
-    _uniform_of,
-)
+from .attach import fdim_star
+from .compose import RULES, TheoremResult, decomposition_suite, verify
 from .errors import (
     FtmdError,
     GraphBuildError,
@@ -43,13 +27,7 @@ from .errors import (
     UnsupportedConfiguration,
 )
 from .families import FAMILY_NAMES, FamilySpec, generate
-from .graph import (
-    Graph,
-    format_edge_list,
-    graph_from_json_dict,
-    is_path_graph,
-    parse_edge_list,
-)
+from .graph import Graph, format_edge_list, graph_from_json_dict, parse_edge_list
 from .resolve import fdim, fdim_plus, metric_dimension, theta
 
 EXIT_OK = 0
@@ -61,7 +39,7 @@ EXIT_MISMATCH = 4
 ORACLE_CAP_ENV = "FTMD_ORACLE_CAP"
 
 INVARIANTS = ("mdim", "fdim", "fdim-plus", "fdim-star", "theta")
-THEOREMS = THEOREMS_ON_DECOMPOSITIONS + THEOREMS_ON_ROOTED_SPECS
+THEOREMS = tuple(RULES)
 
 
 class _UsageError(Exception):
@@ -73,26 +51,6 @@ class _Parser(argparse.ArgumentParser):
     # for cap violations; remap to the malformed-input code instead.
     def error(self, message: str):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one subcommand plus its shared knobs."""
-
-    command: str
-    input_path: str | None = None
-    input_format: str = "edgelist"
-    invariant: str | None = None
-    anchors: tuple[int, ...] | None = None
-    theorem: str | None = None
-    seed: int = 0
-    count: int | None = None
-    oracle_cap: int | None = None
-    relaxed_cor3: bool = False
-    output: str = "human"
-    timings: bool = False
-    family: str | None = None
-    size: int | None = None
 
 
 def _build_parser() -> _Parser:
@@ -136,14 +94,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    anchors = None
-    if getattr(ns, "at", None) is not None:
-        try:
-            anchors = tuple(int(x) for x in str(ns.at).replace(",", " ").split())
-        except ValueError as exc:
-            raise InputFormatError(f"bad --at value: {exc}") from exc
-    cap = getattr(ns, "oracle_cap", None)
+def _oracle_cap(cap: int | None) -> int | None:
+    """The --oracle-cap flag, else $FTMD_ORACLE_CAP, else None (built-in caps)."""
     if cap is None and os.environ.get(ORACLE_CAP_ENV):
         try:
             cap = int(os.environ[ORACLE_CAP_ENV])
@@ -151,27 +103,12 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
             raise InputFormatError(f"bad {ORACLE_CAP_ENV}: {exc}") from exc
     if cap is not None and cap < 2:
         raise InputFormatError(f"oracle cap must be >= 2, got {cap}")
-    return RunConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input", None),
-        input_format=getattr(ns, "input_format", "edgelist"),
-        invariant=getattr(ns, "invariant", None),
-        anchors=anchors,
-        theorem=getattr(ns, "theorem", None),
-        seed=getattr(ns, "seed", 0),
-        count=getattr(ns, "count", None),
-        oracle_cap=cap,
-        relaxed_cor3=getattr(ns, "relaxed_cor3", False),
-        output=getattr(ns, "output", "human"),
-        timings=getattr(ns, "timings", False),
-        family=getattr(ns, "family", None),
-        size=getattr(ns, "size", None),
-    )
+    return cap
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    text = Path(cfg.input_path).read_text()
-    if cfg.input_format == "json":
+def _load_graph(ns: argparse.Namespace) -> Graph:
+    text = Path(ns.input).read_text()
+    if ns.input_format == "json":
         return graph_from_json_dict(json.loads(text))
     return parse_edge_list(text)
 
@@ -180,8 +117,8 @@ def _load_json(path: str):
     return json.loads(Path(path).read_text())
 
 
-def _emit(payload: dict, cfg: RunConfig) -> None:
-    if cfg.output == "json":
+def _emit(payload: dict, ns: argparse.Namespace) -> None:
+    if ns.output == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     for key, value in payload.items():
@@ -227,97 +164,73 @@ def _failure_payload(exc: PreconditionFailed) -> dict:
     }
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def cmd_compute(ns: argparse.Namespace) -> int:
+    anchors = None
+    if ns.at is not None:
+        try:
+            anchors = tuple(int(x) for x in str(ns.at).replace(",", " ").split())
+        except ValueError as exc:
+            raise InputFormatError(f"bad --at value: {exc}") from exc
+    g = _load_graph(ns)
     started = time.perf_counter()
     witness: list[int] | None
-    if cfg.invariant == "mdim":
+    if ns.invariant == "mdim":
         report = metric_dimension(g)
         value, witness, method = report.value, list(report.witness), report.method
-    elif cfg.invariant == "fdim":
-        report = fdim(g, cap=cfg.oracle_cap)
+    elif ns.invariant == "fdim":
+        report = fdim(g, cap=ns.oracle_cap)
         value, witness, method = report.value, list(report.witness), report.method
-    elif cfg.invariant == "fdim-plus":
-        report = fdim_plus(g, cap=cfg.oracle_cap)
+    elif ns.invariant == "fdim-plus":
+        report = fdim_plus(g, cap=ns.oracle_cap)
         value, witness, method = report.value, list(report.witness), report.method
-    elif cfg.invariant == "fdim-star":
-        if cfg.anchors is None:
+    elif ns.invariant == "fdim-star":
+        if anchors is None:
             raise InputFormatError("fdim-star needs --at")
-        report = fdim_star(g, cfg.anchors, cap=cfg.oracle_cap)
+        report = fdim_star(g, anchors, cap=ns.oracle_cap)
         value, witness, method = report.value, list(report.witness), report.method
     else:  # theta
-        if cfg.anchors is None:
+        if anchors is None:
             raise InputFormatError("theta needs --at")
-        value, witness, method = theta(g, cfg.anchors, cap=cfg.oracle_cap), None, "oracle"
+        value, witness, method = theta(g, anchors, cap=ns.oracle_cap), None, "oracle"
     elapsed = time.perf_counter() - started
     payload = {
-        "invariant": cfg.invariant,
+        "invariant": ns.invariant,
         "n": g.n,
         "value": value,
         "witness": witness,
         "method": method,
     }
-    if cfg.anchors is not None:
-        payload["anchors"] = list(cfg.anchors)
-    if cfg.timings:
+    if anchors is not None:
+        payload["anchors"] = list(anchors)
+    if ns.timings:
         payload["timings"] = {"compute_s": round(elapsed, 6)}
-    _emit(payload, cfg)
+    _emit(payload, ns)
     return EXIT_OK
 
 
-def _apply_theorem(cfg: RunConfig, payload_obj) -> TheoremResult:
-    theorem = cfg.theorem
-    if theorem in THEOREMS_ON_DECOMPOSITIONS:
-        dec = decomposition_from_json(payload_obj)
-        if theorem == "prop1":
-            value = prop1_lower_bound(dec, cap=cfg.oracle_cap)
-            return TheoremResult("prop1", value, (), bounds=(value, dec.composite.n))
-        if theorem == "thm2":
-            return theorem2_fdim(dec, cap=cfg.oracle_cap)
-        if theorem == "cor3":
-            return corollary3_fdim(dec, relaxed=cfg.relaxed_cor3, cap=cfg.oracle_cap)
-        return block_graph_fdim(dec)
-    spec = rooted_spec_from_json(payload_obj)
-    if theorem == "cor5":
-        return cor5_fdim(spec, cap=cfg.oracle_cap)
-    if theorem == "prop7":
-        rp = _uniform_of(spec)
-        return prop7_fdim(spec.base, rp.graph, rp.root, cap=cfg.oracle_cap)
-    rp = _uniform_of(spec)
-    leaves = is_path_graph(rp.graph)
-    if leaves is None:
-        raise InputFormatError("prop9 needs path pieces")
-    return prop9_bounds(
-        spec.base, rp.graph.n, leaf_root=rp.root in leaves, cap=cfg.oracle_cap
-    )
-
-
-def cmd_compose(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input_path)
+def cmd_compose(ns: argparse.Namespace) -> int:
+    rule = RULES[ns.theorem]
+    target = rule.load(_load_json(ns.input))
     try:
-        res = _apply_theorem(cfg, obj)
+        res = rule.apply(target, ns.oracle_cap, ns.relaxed_cor3)
     except PreconditionFailed as exc:
-        _emit(_failure_payload(exc), cfg)
+        _emit(_failure_payload(exc), ns)
         return EXIT_PRECONDITION
-    _emit(_theorem_payload(res), cfg)
+    _emit(_theorem_payload(res), ns)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.count is not None:
-        return _verify_batch(cfg)
-    if cfg.input_path is None:
+def cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.count is not None:
+        return _verify_batch(ns)
+    if ns.input is None:
         raise InputFormatError("verify needs --input or --count")
-    obj = _load_json(cfg.input_path)
-    if cfg.theorem in THEOREMS_ON_DECOMPOSITIONS:
-        target = decomposition_from_json(obj)
-    else:
-        target = rooted_spec_from_json(obj)
+    target = RULES[ns.theorem].load(_load_json(ns.input))
     try:
-        report = verify(target, cfg.theorem, oracle_cap=cfg.oracle_cap,
-                        relaxed_cor3=cfg.relaxed_cor3)
+        report = verify(target, ns.theorem, oracle_cap=ns.oracle_cap,
+                        relaxed_cor3=ns.relaxed_cor3)
     except PreconditionFailed as exc:
-        _emit(_failure_payload(exc), cfg)
+        _emit(_failure_payload(exc), ns)
         return EXIT_PRECONDITION
     payload = {
         "theorem": report.theorem,
@@ -330,27 +243,28 @@ def cmd_verify(cfg: RunConfig) -> int:
         payload["bounds"] = list(report.bounds)
     if report.witness_valid is not None:
         payload["witness_valid"] = report.witness_valid
-    if cfg.timings:
+    if ns.timings:
         payload["timings"] = {
             "formula_s": round(report.elapsed_formula, 6),
             "oracle_s": round(report.elapsed_oracle, 6),
         }
-    _emit(payload, cfg)
+    _emit(payload, ns)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def _verify_batch(cfg: RunConfig) -> int:
-    theorem = cfg.theorem
-    if theorem not in ("prop1", "thm2", "cor3"):
-        raise InputFormatError(f"batch verification supports prop1/thm2/cor3, not {theorem}")
-    condition = None if theorem == "prop1" else theorem
-    max_order = 14 if theorem == "prop1" else 16
-    cap = cfg.oracle_cap if cfg.oracle_cap is not None else max_order
-    decs = decomposition_suite(cfg.seed, cfg.count, (3, 4, 5), max_order, condition)
+def _verify_batch(ns: argparse.Namespace) -> int:
+    theorem = ns.theorem
+    batch = RULES[theorem].batch
+    if batch is None:
+        batched = "/".join(name for name, rule in RULES.items() if rule.batch is not None)
+        raise InputFormatError(f"batch verification supports {batched}, not {theorem}")
+    condition, max_order = batch
+    cap = ns.oracle_cap if ns.oracle_cap is not None else max_order
+    decs = decomposition_suite(ns.seed, ns.count, (3, 4, 5), max_order, condition)
     instances = []
     failures = 0
     for idx, dec in enumerate(decs):
-        report = verify(dec, theorem, oracle_cap=cap, relaxed_cor3=cfg.relaxed_cor3)
+        report = verify(dec, theorem, oracle_cap=cap, relaxed_cor3=ns.relaxed_cor3)
         if not report.ok:
             failures += 1
         instances.append(
@@ -364,18 +278,18 @@ def _verify_batch(cfg: RunConfig) -> int:
         )
     payload = {
         "theorem": theorem,
-        "seed": cfg.seed,
+        "seed": ns.seed,
         "count": len(decs),
         "passed": len(decs) - failures,
         "failed": failures,
         "instances": instances,
     }
-    _emit(payload, cfg)
+    _emit(payload, ns)
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
-def cmd_generate(cfg: RunConfig) -> int:
-    made = generate(FamilySpec(cfg.family, cfg.size))
+def cmd_generate(ns: argparse.Namespace) -> int:
+    made = generate(FamilySpec(ns.family, ns.size))
     if isinstance(made, Graph):
         sys.stdout.write(format_edge_list(made))
     else:
@@ -397,8 +311,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        cfg = _config_from(ns)
-        return _HANDLERS[cfg.command](cfg)
+        ns.oracle_cap = _oracle_cap(ns.oracle_cap)
+        return _HANDLERS[ns.command](ns)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -13,9 +13,16 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .attach import Decomposition, check_C1, check_C2, fdim_star, point_attach
+from .attach import (
+    Decomposition,
+    check_C1,
+    check_C2,
+    decomposition_from_json,
+    fdim_star,
+    point_attach,
+)
 from .errors import IllegalParameter, InputFormatError, PreconditionFailed
 from .families import complete_graph, cycle_graph, path_graph, paw_graph, star_graph
 from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_path_graph
@@ -65,6 +72,13 @@ def prop1_lower_bound(dec: Decomposition, cap: int | None = None) -> int:
     )
 
 
+def _ends_disjoint(dec: Decomposition, ends: Sequence[int]) -> tuple[str, bool]:
+    disjoint = all(
+        not (dec.at_global(a) & dec.at_global(b)) for a, b in combinations(ends, 2)
+    )
+    return ("end attachment sets pairwise disjoint", disjoint)
+
+
 def _attachment_checks(dec: Decomposition) -> list[tuple[str, bool]]:
     checks: list[tuple[str, bool]] = [("k >= 3", dec.k >= 3)]
     ends = []
@@ -82,10 +96,7 @@ def _attachment_checks(dec: Decomposition) -> list[tuple[str, bool]]:
         else:
             checks.append((f"piece {i} has an attachment vertex", False))
     checks.append(("at least two end pieces", len(ends) >= 2))
-    disjoint = all(
-        not (dec.at_global(a) & dec.at_global(b)) for a, b in combinations(ends, 2)
-    )
-    checks.append(("end attachment sets pairwise disjoint", disjoint))
+    checks.append(_ends_disjoint(dec, ends))
     return checks
 
 
@@ -154,12 +165,7 @@ def block_graph_fdim(dec: Decomposition) -> TheoremResult:
         checks.append((f"piece {i} is complete", len(piece.edges) == r * (r - 1) // 2))
         checks.append((f"piece {i} has r >= 3", r >= 3))
     checks.append(("at least two end pieces", len(ends) >= 2))
-    checks.append(
-        (
-            "end attachment sets pairwise disjoint",
-            all(not (dec.at_global(a) & dec.at_global(b)) for a, b in combinations(ends, 2)),
-        )
-    )
+    checks.append(_ends_disjoint(dec, ends))
     checks = _require("blocks", checks)
     components = tuple(
         piece.n - len(dec.at_local(i)) if len(dec.at_local(i)) < piece.n - 1 else 0
@@ -216,18 +222,21 @@ def rooted_product(spec: RootedProductSpec) -> Decomposition:
 def cor5_fdim(spec: RootedProductSpec, cap: int | None = None) -> TheoremResult:
     """Rooted-product dimension: each piece pays its full fault-tolerant
     dimension when its root sits in no fault-tolerant basis, one less when
-    the root can serve in some basis."""
+    the root can serve in some basis.  Equal rooted pieces are evaluated
+    once, so a uniform family costs one search."""
     checks: list[tuple[str, bool]] = [("base order >= 2", spec.base.n >= 2)]
     for i, rp in enumerate(spec.family):
         checks.append((f"piece {i} satisfies C2 at its root", check_C2(rp.graph, (rp.root,))))
     checks = _require("cor5", checks)
-    components = []
+    per_piece: dict[RootedPiece, int] = {}
     for rp in spec.family:
-        value = fdim(rp.graph, cap=cap).value
-        if in_some_ft_basis(rp.graph, rp.root, cap=cap):
-            value -= 1
-        components.append(value)
-    return TheoremResult("cor5", sum(components), checks, components=tuple(components))
+        if rp not in per_piece:
+            value = fdim(rp.graph, cap=cap).value
+            if in_some_ft_basis(rp.graph, rp.root, cap=cap):
+                value -= 1
+            per_piece[rp] = value
+    components = tuple(per_piece[rp] for rp in spec.family)
+    return TheoremResult("cor5", sum(components), checks, components=components)
 
 
 def prop7_fdim(g: Graph, h: Graph, v: int, cap: int | None = None) -> TheoremResult:
@@ -301,6 +310,111 @@ def prop9_bounds(
     )
 
 
+# --- rooted-product JSON format -----------------------------------------------
+#
+# { "base": {"n": ..., "edges": ...},
+#   "family": [ {"graph": {...}, "root": int}, ... ] }
+# or, for one isomorphic piece per base vertex:
+# { "base": ..., "family": {"graph": {...}, "root": int, "copies": "per-base-vertex"} }
+
+def rooted_spec_to_json(spec: RootedProductSpec) -> dict:
+    return {
+        "base": graph_to_json_dict(spec.base),
+        "family": [
+            {"graph": graph_to_json_dict(rp.graph), "root": rp.root} for rp in spec.family
+        ],
+    }
+
+
+def rooted_spec_from_json(obj) -> RootedProductSpec:
+    if not isinstance(obj, dict) or "base" not in obj or "family" not in obj:
+        raise InputFormatError('rooted-product JSON needs "base" and "family"')
+    base = graph_from_json_dict(obj["base"])
+    family = obj["family"]
+    if isinstance(family, dict):
+        if family.get("copies") != "per-base-vertex":
+            raise InputFormatError('uniform family needs "copies": "per-base-vertex"')
+        piece = graph_from_json_dict(family.get("graph"))
+        root = family.get("root")
+        if not isinstance(root, int):
+            raise InputFormatError('"root" must be an integer')
+        return uniform_rooted_spec(base, piece, root)
+    if not isinstance(family, list):
+        raise InputFormatError('"family" must be a list or a uniform-copies object')
+    pieces = []
+    for idx, entry in enumerate(family):
+        if not isinstance(entry, dict) or "graph" not in entry or "root" not in entry:
+            raise InputFormatError(f'family entry {idx} needs "graph" and "root"')
+        if not isinstance(entry["root"], int):
+            raise InputFormatError(f"family entry {idx}: root must be an integer")
+        pieces.append(RootedPiece(graph_from_json_dict(entry["graph"]), entry["root"]))
+    return RootedProductSpec(base, tuple(pieces))
+
+
+# --- theorem registry --------------------------------------------------------
+#
+# The one table that ``verify`` and the CLI dispatch on.  Entries call the
+# rule functions through this module's globals at call time, so rebinding a
+# name here (``theorem2_fdim``, ``fdim``) reaches every caller.
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A composition rule: the input it reads and how to apply it.
+
+    ``apply(target, cap, relaxed_cor3)`` passes ``cap`` to every per-piece
+    search.  ``batch`` is the generator condition and maximum order of
+    ``verify --count`` batches, or None when the rule has no batch.
+    """
+
+    kind: type
+    load: Callable[[object], Decomposition | RootedProductSpec]
+    apply: Callable[..., TheoremResult]
+    batch: tuple[str | None, int] | None = None
+
+
+def _prop1(dec: Decomposition, cap: int | None, _relaxed: bool) -> TheoremResult:
+    lower = prop1_lower_bound(dec, cap=cap)
+    return TheoremResult("prop1", lower, (), bounds=(lower, dec.composite.n))
+
+
+def _uniform_of(spec: RootedProductSpec) -> RootedPiece:
+    first = spec.family[0]
+    if any(rp != first for rp in spec.family):
+        raise IllegalParameter("this rule needs one isomorphic rooted piece per base vertex")
+    return first
+
+
+def _prop7(spec: RootedProductSpec, cap: int | None, _relaxed: bool) -> TheoremResult:
+    rp = _uniform_of(spec)
+    return prop7_fdim(spec.base, rp.graph, rp.root, cap=cap)
+
+
+def _prop9(spec: RootedProductSpec, cap: int | None, _relaxed: bool) -> TheoremResult:
+    rp = _uniform_of(spec)
+    leaves = is_path_graph(rp.graph)
+    if leaves is None:
+        raise IllegalParameter("prop9 needs path pieces")
+    return prop9_bounds(spec.base, rp.graph.n, leaf_root=rp.root in leaves, cap=cap)
+
+
+_ON_DECOMPOSITIONS = (Decomposition, decomposition_from_json)
+_ON_ROOTED_SPECS = (RootedProductSpec, rooted_spec_from_json)
+
+RULES: dict[str, Rule] = {
+    "prop1": Rule(*_ON_DECOMPOSITIONS, _prop1, batch=(None, 14)),
+    "thm2": Rule(*_ON_DECOMPOSITIONS, lambda dec, cap, _: theorem2_fdim(dec, cap=cap),
+                 batch=("thm2", 16)),
+    "cor3": Rule(*_ON_DECOMPOSITIONS,
+                 lambda dec, cap, relaxed: corollary3_fdim(dec, relaxed=relaxed, cap=cap),
+                 batch=("cor3", 16)),
+    "blocks": Rule(*_ON_DECOMPOSITIONS, lambda dec, cap, _: block_graph_fdim(dec)),
+    "cor5": Rule(*_ON_ROOTED_SPECS, lambda spec, cap, _: cor5_fdim(spec, cap=cap)),
+    "prop7": Rule(*_ON_ROOTED_SPECS, _prop7),
+    "prop9": Rule(*_ON_ROOTED_SPECS, _prop9),
+}
+
+
 # --- oracle cross-validation -------------------------------------------------
 
 
@@ -319,78 +433,45 @@ class VerifyReport:
     elapsed_oracle: float
 
 
-THEOREMS_ON_DECOMPOSITIONS = ("prop1", "thm2", "cor3", "blocks")
-THEOREMS_ON_ROOTED_SPECS = ("cor5", "prop7", "prop9")
-
-
-def _uniform_of(spec: RootedProductSpec) -> RootedPiece:
-    first = spec.family[0]
-    if any(rp != first for rp in spec.family):
-        raise IllegalParameter("this rule needs one isomorphic rooted piece per base vertex")
-    return first
-
-
 def verify(
     target: Decomposition | RootedProductSpec,
     theorem: str,
     oracle_cap: int | None = None,
     relaxed_cor3: bool = False,
 ) -> VerifyReport:
-    """Cross-check a composition rule against the exact search on its composite."""
-    if theorem in THEOREMS_ON_DECOMPOSITIONS:
-        if not isinstance(target, Decomposition):
-            raise IllegalParameter(f"{theorem} verifies a decomposition")
-        dec = target
-    elif theorem in THEOREMS_ON_ROOTED_SPECS:
-        if not isinstance(target, RootedProductSpec):
-            raise IllegalParameter(f"{theorem} verifies a rooted-product spec")
-        dec = rooted_product(target)
-    else:
+    """Cross-check a composition rule against the exact search on its composite.
+
+    The rule's per-piece searches and the search on the composite share
+    ``oracle_cap``.  A rule that proves a range passes when the search lands
+    in it, any other rule when it matches the search; a rule witness that
+    fails its check fails either way.
+    """
+    rule = RULES.get(theorem)
+    if rule is None:
         raise IllegalParameter(f"unknown theorem {theorem!r}")
+    if not isinstance(target, rule.kind):
+        noun = "a decomposition" if rule.kind is Decomposition else "a rooted-product spec"
+        raise IllegalParameter(f"{theorem} verifies {noun}")
+    dec = target if rule.kind is Decomposition else rooted_product(target)
     composite = dec.composite
 
     t0 = time.perf_counter()
-    bounds = None
-    witness_valid = None
-    if theorem == "prop1":
-        formula: int | None = prop1_lower_bound(target)
-    elif theorem == "thm2":
-        res = theorem2_fdim(target)
-        formula, witness_valid = res.value, res.witness_valid
-    elif theorem == "cor3":
-        formula = corollary3_fdim(target, relaxed=relaxed_cor3).value
-    elif theorem == "blocks":
-        formula = block_graph_fdim(target).value
-    elif theorem == "cor5":
-        formula = cor5_fdim(target).value
-    elif theorem == "prop7":
-        rp = _uniform_of(target)
-        formula = prop7_fdim(target.base, rp.graph, rp.root).value
-    else:  # prop9
-        rp = _uniform_of(target)
-        leaves = is_path_graph(rp.graph)
-        if leaves is None:
-            raise IllegalParameter("prop9 needs path pieces")
-        res = prop9_bounds(target.base, rp.graph.n, leaf_root=rp.root in leaves)
-        formula, bounds, witness_valid = res.value, res.bounds, res.witness_valid
+    res = rule.apply(target, oracle_cap, relaxed_cor3)
     t1 = time.perf_counter()
     oracle = fdim(composite, cap=oracle_cap).value
     t2 = time.perf_counter()
 
-    if theorem == "prop1":
-        ok = formula is not None and oracle >= formula
-    elif theorem == "prop9":
-        assert bounds is not None
-        ok = bounds[0] <= oracle <= bounds[1] and bool(witness_valid)
+    if res.bounds is not None:
+        ok = res.bounds[0] <= oracle <= res.bounds[1]
     else:
-        ok = formula == oracle and witness_valid is not False
+        ok = res.value == oracle
     return VerifyReport(
         theorem=theorem,
-        formula_value=formula,
-        bounds=bounds,
+        formula_value=res.value,
+        bounds=res.bounds,
         oracle_value=oracle,
-        ok=ok,
-        witness_valid=witness_valid,
+        ok=ok and res.witness_valid is not False,
+        witness_valid=res.witness_valid,
         composite_order=composite.n,
         elapsed_formula=t1 - t0,
         elapsed_oracle=t2 - t1,
@@ -531,44 +612,3 @@ def decomposition_suite(
     while len(out) < count:
         out.append(random_decomposition(rng, rng.choice(ks), max_order, condition))
     return out
-
-
-# --- rooted-product JSON format -----------------------------------------------
-#
-# { "base": {"n": ..., "edges": ...},
-#   "family": [ {"graph": {...}, "root": int}, ... ] }
-# or, for one isomorphic piece per base vertex:
-# { "base": ..., "family": {"graph": {...}, "root": int, "copies": "per-base-vertex"} }
-
-def rooted_spec_to_json(spec: RootedProductSpec) -> dict:
-    return {
-        "base": graph_to_json_dict(spec.base),
-        "family": [
-            {"graph": graph_to_json_dict(rp.graph), "root": rp.root} for rp in spec.family
-        ],
-    }
-
-
-def rooted_spec_from_json(obj) -> RootedProductSpec:
-    if not isinstance(obj, dict) or "base" not in obj or "family" not in obj:
-        raise InputFormatError('rooted-product JSON needs "base" and "family"')
-    base = graph_from_json_dict(obj["base"])
-    family = obj["family"]
-    if isinstance(family, dict):
-        if family.get("copies") != "per-base-vertex":
-            raise InputFormatError('uniform family needs "copies": "per-base-vertex"')
-        piece = graph_from_json_dict(family.get("graph"))
-        root = family.get("root")
-        if not isinstance(root, int):
-            raise InputFormatError('"root" must be an integer')
-        return uniform_rooted_spec(base, piece, root)
-    if not isinstance(family, list):
-        raise InputFormatError('"family" must be a list or a uniform-copies object')
-    pieces = []
-    for idx, entry in enumerate(family):
-        if not isinstance(entry, dict) or "graph" not in entry or "root" not in entry:
-            raise InputFormatError(f'family entry {idx} needs "graph" and "root"')
-        if not isinstance(entry["root"], int):
-            raise InputFormatError(f"family entry {idx}: root must be an integer")
-        pieces.append(RootedPiece(graph_from_json_dict(entry["graph"]), entry["root"]))
-    return RootedProductSpec(base, tuple(pieces))

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from ftmd import decomposition_to_json, figure2_decomposition, format_edge_list
-from ftmd import cycle_graph, complete_graph, path_graph
+from ftmd import cycle_graph, complete_graph, path_graph, point_attach
+from ftmd import RootedProductSpec, rooted_spec_to_json, uniform_rooted_spec, verify
 from ftmd.cli import main
+from ftmd.compose import RULES
 
 
 def write_graph(tmp_path, g, name="g.edgelist"):
@@ -184,6 +188,70 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--input", path, "--theorem", "thm2",
                       "--oracle-cap", "16")
         assert code == 2
+
+    def test_oracle_cap_reaches_the_rule(self, tmp_path, capsys):
+        # a C17 end piece: above the default anchored-search cap of 16
+        dec = point_attach([
+            (cycle_graph(17), {0: "a"}),
+            (complete_graph(3), {0: "a", 1: "b"}),
+            (complete_graph(3), {0: "b"}),
+        ])
+        path = write_json(tmp_path, decomposition_to_json(dec))
+        code, out = run(capsys, "verify", "--input", path, "--theorem", "thm2",
+                        "--oracle-cap", "21", "--output", "json")
+        assert code == 0
+        assert json.loads(out)["formula"] == json.loads(out)["oracle"] == 4
+
+    def test_batch_needs_a_batched_rule(self, capsys):
+        code, _ = run(capsys, "verify", "--theorem", "blocks", "--count", "3")
+        assert code == 1
+
+    @pytest.mark.parametrize("command", ["compose", "verify"])
+    def test_prop9_non_path_piece(self, tmp_path, capsys, command):
+        spec = uniform_rooted_spec(cycle_graph(4), complete_graph(3), 0)
+        path = write_json(tmp_path, rooted_spec_to_json(spec))
+        assert main([command, "--input", path, "--theorem", "prop9"]) == 1
+        assert "prop9 needs path pieces" in capsys.readouterr().err
+
+
+# One small instance per rule on which every hypothesis holds:
+# (target, --relaxed-cor3, cap).
+AGREEMENT_CASES = {
+    "prop1": (figure2_decomposition, False, 20),
+    "thm2": (figure2_decomposition, False, 20),
+    "cor3": (figure2_decomposition, True, 20),
+    "blocks": (lambda: point_attach([
+        (complete_graph(3), {0: "x", 1: "y"}),
+        (complete_graph(4), {0: "x"}),
+        (complete_graph(4), {0: "y"}),
+    ]), False, 16),
+    "cor5": (lambda: uniform_rooted_spec(path_graph(3), cycle_graph(5), 0), False, 16),
+    "prop7": (lambda: uniform_rooted_spec(path_graph(3), complete_graph(4), 0), False, 16),
+    "prop9": (lambda: uniform_rooted_spec(cycle_graph(4), path_graph(3), 0), False, 16),
+}
+
+
+@pytest.mark.parametrize("theorem", list(RULES))
+def test_compose_verify_and_registry_agree(theorem, tmp_path, capsys):
+    make, relaxed, cap = AGREEMENT_CASES[theorem]
+    target = make()
+    if isinstance(target, RootedProductSpec):
+        path = write_json(tmp_path, rooted_spec_to_json(target))
+    else:
+        path = write_json(tmp_path, decomposition_to_json(target))
+    argv = ["compose", "--input", path, "--theorem", theorem, "--oracle-cap", str(cap),
+            "--output", "json"]
+    if relaxed:
+        argv.append("--relaxed-cor3")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    res = RULES[theorem].apply(target, cap, relaxed)
+    assert payload["value"] == res.value
+    assert payload.get("bounds") == (list(res.bounds) if res.bounds else None)
+    report = verify(target, theorem, oracle_cap=cap, relaxed_cor3=relaxed)
+    assert (report.formula_value, report.bounds) == (res.value, res.bounds)
+    assert report.ok
 
 
 class TestGenerate:

@@ -52,6 +52,16 @@ def clique_chain():
     ])
 
 
+def cycle_with_triangle_tail():
+    """C17 with two triangles hung off it: 21 vertices, and an end piece
+    above the default anchored-search cap of 16."""
+    return point_attach([
+        (cycle_graph(17), {0: "a"}),
+        (complete_graph(3), {0: "a", 1: "b"}),
+        (complete_graph(3), {0: "b"}),
+    ])
+
+
 class TestProp1:
     def test_bowtie_pieces(self):
         dec = point_attach([
@@ -265,6 +275,32 @@ class TestCor5:
         for spec in specs:
             assert cor5_fdim(spec).value == theorem2_fdim(rooted_product(spec)).value
 
+    def test_each_distinct_piece_searched_once(self, monkeypatch):
+        import ftmd.compose as compose_mod
+
+        searched = []
+        real = compose_mod.fdim
+
+        def counting_fdim(g, cap=None):
+            searched.append(g)
+            return real(g, cap=cap)
+
+        monkeypatch.setattr(compose_mod, "fdim", counting_fdim)
+        uniform = uniform_rooted_spec(cycle_graph(4), cycle_graph(5), 0)
+        res = cor5_fdim(uniform)
+        assert len(searched) == 1
+        assert res.components == (2, 2, 2, 2) and res.value == 8
+
+        searched.clear()
+        mixed = RootedProductSpec(path_graph(3), (
+            RootedPiece(cycle_graph(5), 0),
+            RootedPiece(star_graph(3), 0),
+            RootedPiece(cycle_graph(5), 0),
+        ))
+        res = cor5_fdim(mixed)
+        assert len(searched) == 2
+        assert res.components == (2, 3, 2) and res.value == 7
+
 
 class TestProp7:
     def test_star_root_in_no_basis(self):
@@ -363,6 +399,19 @@ class TestVerify:
     def test_unknown_theorem(self):
         with pytest.raises(IllegalParameter):
             verify(clique_chain(), "thm99")
+
+    @pytest.mark.parametrize("theorem, relaxed", [("thm2", False), ("cor3", True)])
+    def test_oracle_cap_reaches_the_rule(self, theorem, relaxed):
+        # the C17 end piece needs the caller's cap in the rule's own
+        # per-piece searches, not only in the search on the composite
+        rep = verify(cycle_with_triangle_tail(), theorem, oracle_cap=21, relaxed_cor3=relaxed)
+        assert rep.ok
+        assert rep.formula_value == rep.oracle_value == 4
+
+    def test_prop9_non_path_piece(self):
+        spec = uniform_rooted_spec(cycle_graph(4), complete_graph(3), 0)
+        with pytest.raises(IllegalParameter, match="prop9 needs path pieces"):
+            verify(spec, "prop9")
 
 
 class TestRandomDecompositions:
