@@ -21,6 +21,7 @@ from .errors import (
     DisconnectedInput,
     DisconnectedResult,
     InputFormatError,
+    InvalidVertexSet,
     NonTreeAttachment,
     OverlapError,
     UnsupportedConfiguration,
@@ -245,7 +246,7 @@ def check_C1(g: Graph, at: Iterable[int]) -> C1Check:
     """
     av = _validated(g.n, at)
     if not av:
-        raise ValueError("check_C1 needs a non-empty anchor set")
+        raise InvalidVertexSet("check_C1 needs a non-empty anchor set")
     d = g.dist
     anchored = set(av)
     outside = [v for v in range(g.n) if v not in anchored]

@@ -17,15 +17,7 @@ from typing import Sequence
 
 from .attach import fdim_star
 from .compose import RULES, TheoremResult, decomposition_suite, verify
-from .errors import (
-    FtmdError,
-    GraphBuildError,
-    IllegalParameter,
-    InputFormatError,
-    OrderCapExceeded,
-    PreconditionFailed,
-    UnsupportedConfiguration,
-)
+from .errors import FtmdError, InputFormatError, OrderCapExceeded, PreconditionFailed
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .graph import Graph, format_edge_list, graph_from_json_dict, parse_edge_list
 from .resolve import fdim, fdim_plus, metric_dimension, theta
@@ -106,15 +98,24 @@ def _oracle_cap(cap: int | None) -> int | None:
     return cap
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not a text file: {exc}") from exc
+
+
 def _load_graph(ns: argparse.Namespace) -> Graph:
-    text = Path(ns.input).read_text()
     if ns.input_format == "json":
-        return graph_from_json_dict(json.loads(text))
-    return parse_edge_list(text)
+        return graph_from_json_dict(_load_json(ns.input))
+    return parse_edge_list(_read_text(ns.input))
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{path}: bad JSON: {exc}") from exc
 
 
 def _emit(payload: dict, ns: argparse.Namespace) -> None:
@@ -175,7 +176,7 @@ def cmd_compute(ns: argparse.Namespace) -> int:
     started = time.perf_counter()
     witness: list[int] | None
     if ns.invariant == "mdim":
-        report = metric_dimension(g)
+        report = metric_dimension(g, cap=ns.oracle_cap)
         value, witness, method = report.value, list(report.witness), report.method
     elif ns.invariant == "fdim":
         report = fdim(g, cap=ns.oracle_cap)
@@ -322,16 +323,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PreconditionFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (
-        InputFormatError,
-        GraphBuildError,
-        IllegalParameter,
-        UnsupportedConfiguration,
-        FtmdError,
-        json.JSONDecodeError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (FtmdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

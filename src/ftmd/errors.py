@@ -33,6 +33,12 @@ class DisconnectedInput(GraphBuildError):
     """Some vertex is unreachable; only connected graphs are supported."""
 
 
+class InvalidVertexSet(FtmdError, ValueError):
+    """A vertex or vertex set the graph cannot take: a label outside
+    0..n-1, or too few vertices for the question asked.  Also a
+    ``ValueError``, so ``except ValueError`` still catches it."""
+
+
 class OrderCapExceeded(FtmdError):
     """Exact search refused: the graph is larger than the configured cap."""
 

@@ -1,9 +1,11 @@
 """Immutable simple connected graphs with exact hop distances.
 
 Vertices are dense integer labels 0..n-1; external names should be mapped
-through a label table by the caller.  Distances are computed at
-construction time by breadth-first search from every vertex, and every
-other module reads them from the cached matrix.
+through a label table by the caller.  Construction validates the input
+and checks connectivity with one breadth-first search, so refusing an
+oversized graph costs O(n + m).  The all-pairs distance matrix is built on
+first use of ``Graph.dist``, by breadth-first search from every vertex, and
+every other module reads it from that cached matrix.
 """
 
 from __future__ import annotations
@@ -118,7 +120,6 @@ class Graph:
         if min(reached) < 0:
             missing = [i for i, x in enumerate(reached) if x < 0]
             raise DisconnectedInput(f"vertices unreachable from 0: {missing}")
-        self.dist  # distances are part of the construction contract
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -332,5 +333,7 @@ def graph_from_json_dict(obj) -> Graph:
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InputFormatError(f"edge {e!r} is not a pair")
+        if not (isinstance(e[0], int) and isinstance(e[1], int)):
+            raise InputFormatError(f"edge {e!r} needs integer endpoints")
         pairs.append((e[0], e[1]))
     return build_graph(n, pairs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cover import vertices
-from .errors import OrderCapExceeded
+from .errors import InvalidVertexSet, OrderCapExceeded
 from .graph import DistanceMatrix, Graph
 
 DEFAULT_ORACLE_CAP = 16
@@ -48,13 +48,15 @@ def _as_mask(vertices: Iterable[int]) -> int:
 def _validated(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
     vs = tuple(sorted(set(int(v) for v in vertices)))
     if vs and not (0 <= vs[0] and vs[-1] < n):
-        raise ValueError(f"vertex set {vs} outside 0..{n - 1}")
+        raise InvalidVertexSet(f"vertex set {vs} outside 0..{n - 1}")
     return vs
 
 
-def _check_cap(n: int, cap: int | None, default: int, what: str) -> None:
+def _check_cap(n: int, cap: int | None, default: int | None, what: str) -> None:
+    """Refuse order n above cap, or above default when cap is None; a None
+    default leaves the search uncapped."""
     limit = default if cap is None else cap
-    if n > limit:
+    if limit is not None and n > limit:
         raise OrderCapExceeded(f"{what} capped at order {limit}, got {n}")
 
 
@@ -76,7 +78,7 @@ def is_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
     """True when the distance vectors against s are pairwise distinct."""
     sv = _validated(d.n, s)
     if not sv:
-        raise ValueError("a resolving set must be non-empty")
+        raise InvalidVertexSet("a resolving set must be non-empty")
     return _resolves(d.distinguisher_masks, _as_mask(sv))
 
 
@@ -84,11 +86,11 @@ def is_ft_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
     """True when s minus any single element still resolves."""
     sv = _validated(d.n, s)
     if len(sv) < 2:
-        raise ValueError("a fault-tolerant resolving set needs at least 2 vertices")
+        raise InvalidVertexSet("a fault-tolerant resolving set needs at least 2 vertices")
     return _ft_resolves(d.distinguisher_masks, _as_mask(sv))
 
 
-def metric_dimension(g: Graph) -> FtReport:
+def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
     """Minimum resolving set: the smallest set meeting every distinguisher
     mask once, lexicographically first.
 
@@ -98,8 +100,9 @@ def metric_dimension(g: Graph) -> FtReport:
     mask with the least slack.  Then it fixes vertices in order to recover
     the lexicographically first witness.  A twin pair's mask holds just the
     pair, so it has the least slack and is branched on first; no separate
-    twin-class rule is needed.
+    twin-class rule is needed.  It runs uncapped unless ``cap`` is given.
     """
+    _check_cap(g.n, cap, None, "resolving search")
     value, witness = g.dist.cover.minimum(1)
     return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
@@ -192,6 +195,6 @@ def in_some_ft_basis(g: Graph, v: int, cap: int | None = None) -> bool:
     already holds v."""
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis membership")
     if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        raise InvalidVertexSet(f"vertex {v} outside 0..{g.n - 1}")
     value, witness = g.dist.cover.smallest(2)
     return bool(witness >> v & 1) or g.dist.cover.find(2, value, chosen=1 << v) is not None

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
-from ftmd import build_graph
+from ftmd import Graph, build_graph
 
 
 @st.composite
@@ -44,6 +44,20 @@ def atlas_connected(min_n: int, max_n: int):
         if min_n <= n <= max_n and n >= 1 and nx.is_connected(g):
             out.append(build_graph(n, sorted(tuple(sorted(e)) for e in g.edges())))
     return out
+
+
+@pytest.fixture
+def bfs_rows(monkeypatch):
+    """The source of every BFS row computed while the test runs, in order."""
+    rows = []
+    bfs_row = Graph._bfs_row
+
+    def counted(self, source):
+        rows.append(source)
+        return bfs_row(self, source)
+
+    monkeypatch.setattr(Graph, "_bfs_row", counted)
+    return rows
 
 
 @pytest.fixture(scope="session")

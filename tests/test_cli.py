@@ -96,6 +96,71 @@ class TestCompute:
         code, _ = run(capsys, "compute", "--invariant", "not-a-thing", "--input", "x")
         assert code == 1
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_mdim_cap(self, tmp_path, capsys, monkeypatch, source):
+        path = write_graph(tmp_path, path_graph(7))
+        argv = ["compute", "--input", path, "--invariant", "mdim"]
+        if source == "flag":
+            argv += ["--oracle-cap", "6"]
+        else:
+            monkeypatch.setenv("FTMD_ORACLE_CAP", "6")
+        assert main(argv) == 2
+        assert "capped at order 6, got 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("invariant", ["fdim-star", "theta"])
+    def test_anchor_out_of_range(self, tmp_path, capsys, invariant):
+        path = write_graph(tmp_path, cycle_graph(4))
+        assert main(["compute", "--input", path, "--invariant", invariant, "--at", "0,7"]) == 1
+        assert capsys.readouterr().err == "error: vertex set (0, 7) outside 0..3\n"
+
+    @pytest.mark.parametrize("input_format", ["edgelist", "json"])
+    def test_binary_input(self, tmp_path, capsys, input_format):
+        path = tmp_path / "g.bin"
+        path.write_bytes(b"\xff\xfe\x00\x81")
+        assert main(["compute", "--input", str(path), "--format", input_format,
+                     "--invariant", "fdim"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a text file" in err
+
+
+def write_edge_list(tmp_path, n, edges, name="big.edgelist"):
+    path = tmp_path / name
+    path.write_text("\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]) + "\n")
+    return str(path)
+
+
+BIG = 3000
+BIG_CYCLE = [(i, i + 1) for i in range(BIG - 1)] + [(0, BIG - 1)]
+
+
+class TestOversizedInput:
+    """A graph above the cap is refused after parse, validation and the one
+    BFS of the connectivity check; the errors keep their order."""
+
+    @pytest.mark.parametrize("invariant, at", [
+        ("fdim", None), ("fdim-plus", None), ("fdim-star", "0"), ("theta", "0,1"),
+    ])
+    def test_refused_after_one_bfs(self, tmp_path, capsys, bfs_rows, invariant, at):
+        path = write_edge_list(tmp_path, BIG, BIG_CYCLE)
+        argv = ["compute", "--input", path, "--invariant", invariant]
+        if at is not None:
+            argv += ["--at", at]
+        assert main(argv) == 2
+        assert "capped at order" in capsys.readouterr().err
+        assert bfs_rows == [0]
+
+    def test_disconnected_is_malformed(self, tmp_path, capsys, bfs_rows):
+        path = write_edge_list(tmp_path, BIG, BIG_CYCLE[:BIG - 2])
+        assert main(["compute", "--input", path, "--invariant", "fdim"]) == 1
+        assert "unreachable from 0: [2999]" in capsys.readouterr().err
+        assert bfs_rows == [0]
+
+    def test_self_loop_is_malformed(self, tmp_path, capsys, bfs_rows):
+        path = write_edge_list(tmp_path, BIG, BIG_CYCLE + [(5, 5)])
+        assert main(["compute", "--input", path, "--invariant", "fdim"]) == 1
+        assert "self-loop at vertex 5" in capsys.readouterr().err
+        assert bfs_rows == []
+
 
 class TestCompose:
     def test_figure2_relaxed_cor3(self, tmp_path, capsys):

@@ -21,6 +21,7 @@ from ftmd import (
     cycle_graph,
     eccentricity_and_diameter,
     format_edge_list,
+    graph_from_json_dict,
     hypercube_graph,
     is_even_graph,
     is_path_graph,
@@ -66,6 +67,16 @@ class TestBuildGraph:
     def test_edges_are_normalized(self):
         g = build_graph(3, [(2, 1), (1, 0)])
         assert g.edges == ((0, 1), (1, 2))
+
+    def test_distances_built_on_first_use(self, bfs_rows):
+        g = cycle_graph(40)
+        assert bfs_rows == [0]  # the connectivity check only
+        assert "dist" not in g.__dict__
+        assert g.dist.d(0, 20) == 20
+        assert "dist" in g.__dict__
+        assert len(bfs_rows) == 1 + 40
+        g.dist
+        assert len(bfs_rows) == 1 + 40
 
 
 class TestDistances:
@@ -224,3 +235,8 @@ class TestEdgeListFormat:
     def test_empty(self):
         with pytest.raises(InputFormatError):
             parse_edge_list("# nothing\n")
+
+    @pytest.mark.parametrize("edge", [["a", 1], [None, 1], [0.0, 1]])
+    def test_json_endpoints_must_be_integers(self, edge):
+        with pytest.raises(InputFormatError):
+            graph_from_json_dict({"n": 3, "edges": [edge, [1, 2]]})

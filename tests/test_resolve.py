@@ -88,6 +88,13 @@ class TestMetricDimension:
     def test_paw(self):
         assert metric_dimension(paw_graph()).value == 2
 
+    def test_cap(self):
+        with pytest.raises(OrderCapExceeded):
+            metric_dimension(path_graph(7), cap=6)
+        assert metric_dimension(path_graph(7), cap=7).value == 1
+        # uncapped by default
+        assert metric_dimension(cycle_graph(40)).value == 2
+
 
 class TestFdim:
     def test_paper_families(self):
