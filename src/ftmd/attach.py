@@ -8,6 +8,12 @@ already declared, which keeps the arrangement tree-like; the other names
 it declares become available to later pieces.  A name declared by a single
 piece still marks its vertex as an attachment point, which is what lets a
 one-piece decomposition carry a non-empty anchor set.
+
+Tree-like glueing makes every shared vertex a cut vertex of the composite,
+so no path can leave a piece and come back shorter: each piece is
+isometric in the composite.  That is a property of the construction, not
+checked per build, and the composite's distances are built only when
+something first reads them.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .cover import min_cover, vertices
+from .cover import Cover, vertices
 from .errors import (
     AnchorReuseWithinPiece,
     DisconnectedInput,
@@ -56,9 +62,6 @@ class Decomposition:
     @property
     def k(self) -> int:
         return len(self.pieces)
-
-    def anchors_of(self, i: int) -> dict[int, str]:
-        return dict(self.anchor_maps[i])
 
     def at_local(self, i: int) -> tuple[int, ...]:
         """Attachment vertices of piece i in its own labeling."""
@@ -130,23 +133,7 @@ def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decompositi
         composite = build_graph(next_id, edges)
     except DisconnectedInput as exc:  # unreachable for tree-like input; kept defensive
         raise DisconnectedResult(str(exc)) from exc
-    dec = Decomposition(tuple(pieces), tuple(anchor_maps), composite, tuple(global_ids))
-    _verify_isometry(dec)
-    return dec
-
-
-def _verify_isometry(dec: Decomposition) -> None:
-    # Tree-like glueing never shortens distances inside a piece; verify anyway.
-    comp = dec.composite.dist
-    for i, piece in enumerate(dec.pieces):
-        ids = dec.global_ids[i]
-        local = piece.dist
-        for x in range(piece.n):
-            row = local.rows[x]
-            gx = ids[x]
-            for y in range(x + 1, piece.n):
-                if comp.d(gx, ids[y]) != row[y]:
-                    raise RuntimeError(f"piece {i} is not isometric in the composite")
+    return Decomposition(tuple(pieces), tuple(anchor_maps), composite, tuple(global_ids))
 
 
 def is_attaching_ft_resolving(g: Graph, at: Iterable[int], f: Iterable[int]) -> bool:
@@ -184,7 +171,7 @@ def fdim_star(g: Graph, at: Iterable[int], cap: int | None = None) -> FtReport:
     """
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "anchored search")
     at_mask = _as_mask(_validated(g.n, at))
-    value, witness = min_cover(_missed(g, at_mask), 2, ((1 << g.n) - 1) & ~at_mask)
+    value, witness = Cover(_missed(g, at_mask), ((1 << g.n) - 1) & ~at_mask).minimum(2)
     return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 

@@ -20,7 +20,7 @@ from .compose import RULES, TheoremResult, decomposition_suite, verify
 from .errors import FtmdError, InputFormatError, OrderCapExceeded, PreconditionFailed
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .graph import Graph, format_edge_list, graph_from_json_dict, parse_edge_list
-from .resolve import fdim, fdim_plus, metric_dimension, theta
+from .resolve import FtReport, fdim, fdim_plus, metric_dimension, theta
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -30,8 +30,23 @@ EXIT_MISMATCH = 4
 
 ORACLE_CAP_ENV = "FTMD_ORACLE_CAP"
 
-INVARIANTS = ("mdim", "fdim", "fdim-plus", "fdim-star", "theta")
 THEOREMS = tuple(RULES)
+
+
+def _found(report: FtReport) -> tuple[int, list[int]]:
+    return report.value, list(report.witness)
+
+
+# invariant -> (needs --at, search(g, anchors, cap) -> (value, witness or None)).
+# The searches are looked up in this module's globals at call time, so a
+# caller that rebinds them (a tracer, a test's monkeypatch) is seen here.
+INVARIANTS = {
+    "mdim": (False, lambda g, _, cap: _found(metric_dimension(g, cap=cap))),
+    "fdim": (False, lambda g, _, cap: _found(fdim(g, cap=cap))),
+    "fdim-plus": (False, lambda g, _, cap: _found(fdim_plus(g, cap=cap))),
+    "fdim-star": (True, lambda g, at, cap: _found(fdim_star(g, at, cap=cap))),
+    "theta": (True, lambda g, at, cap: (theta(g, at, cap=cap), None)),
+}
 
 
 class _UsageError(Exception):
@@ -60,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="graph file")
     p.add_argument("--format", dest="input_format", choices=("edgelist", "json"),
                    default="edgelist")
-    p.add_argument("--invariant", required=True, choices=INVARIANTS)
+    p.add_argument("--invariant", required=True, choices=tuple(INVARIANTS))
     p.add_argument("--at", default=None, help="comma-separated anchor vertices")
     common(p)
 
@@ -173,33 +188,18 @@ def cmd_compute(ns: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InputFormatError(f"bad --at value: {exc}") from exc
     g = _load_graph(ns)
+    needs_at, search = INVARIANTS[ns.invariant]
+    if needs_at and anchors is None:
+        raise InputFormatError(f"{ns.invariant} needs --at")
     started = time.perf_counter()
-    witness: list[int] | None
-    if ns.invariant == "mdim":
-        report = metric_dimension(g, cap=ns.oracle_cap)
-        value, witness, method = report.value, list(report.witness), report.method
-    elif ns.invariant == "fdim":
-        report = fdim(g, cap=ns.oracle_cap)
-        value, witness, method = report.value, list(report.witness), report.method
-    elif ns.invariant == "fdim-plus":
-        report = fdim_plus(g, cap=ns.oracle_cap)
-        value, witness, method = report.value, list(report.witness), report.method
-    elif ns.invariant == "fdim-star":
-        if anchors is None:
-            raise InputFormatError("fdim-star needs --at")
-        report = fdim_star(g, anchors, cap=ns.oracle_cap)
-        value, witness, method = report.value, list(report.witness), report.method
-    else:  # theta
-        if anchors is None:
-            raise InputFormatError("theta needs --at")
-        value, witness, method = theta(g, anchors, cap=ns.oracle_cap), None, "oracle"
+    value, witness = search(g, anchors, ns.oracle_cap)
     elapsed = time.perf_counter() - started
     payload = {
         "invariant": ns.invariant,
         "n": g.n,
         "value": value,
         "witness": witness,
-        "method": method,
+        "method": "oracle",
     }
     if anchors is not None:
         payload["anchors"] = list(anchors)
@@ -259,6 +259,8 @@ def _verify_batch(ns: argparse.Namespace) -> int:
     if batch is None:
         batched = "/".join(name for name, rule in RULES.items() if rule.batch is not None)
         raise InputFormatError(f"batch verification supports {batched}, not {theorem}")
+    if ns.count < 1:
+        raise InputFormatError(f"--count must be >= 1, got {ns.count}")
     condition, max_order = batch
     cap = ns.oracle_cap if ns.oracle_cap is not None else max_order
     decs = decomposition_suite(ns.seed, ns.count, (3, 4, 5), max_order, condition)

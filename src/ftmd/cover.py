@@ -333,8 +333,3 @@ class Cover:
         visit(0, self.universe, 0, 0, 0, 0)
         return best_size, best
 
-
-def min_cover(masks: Iterable[int], demand: int, universe: int) -> tuple[int, int]:
-    """Smallest set of universe vertices that meets every mask ``demand``
-    times (1 or 2): its size and its lexicographically first witness."""
-    return Cover(masks, universe).minimum(demand)

@@ -2,10 +2,11 @@
 
 Vertices are dense integer labels 0..n-1; external names should be mapped
 through a label table by the caller.  Construction validates the input
-and checks connectivity with one breadth-first search, so refusing an
-oversized graph costs O(n + m).  The all-pairs distance matrix is built on
-first use of ``Graph.dist``, by breadth-first search from every vertex, and
-every other module reads it from that cached matrix.
+and checks connectivity: fewer than n - 1 edges are refused at once, and
+otherwise one breadth-first search decides, so refusing an oversized graph
+costs O(n + m).  The all-pairs distance matrix is built on first use of
+``Graph.dist``, by breadth-first search from every vertex, and every other
+module reads it from that cached matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
 )
 
 VERTEX_TRANSITIVITY_CAP = 12
+UNREACHABLE_SHOWN = 20  # unreachable vertices named in a DisconnectedInput message
 
 
 @dataclass(frozen=True)
@@ -114,12 +116,17 @@ class Graph:
                 raise DuplicateEdge(f"edge ({u}, {v}) given twice")
             seen.add((u, v))
             canon.append((u, v))
+        if len(canon) < self.n - 1:
+            raise DisconnectedInput(f"{len(canon)} edges cannot connect {self.n} vertices")
         canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
         reached = self._bfs_row(0)
         if min(reached) < 0:
             missing = [i for i, x in enumerate(reached) if x < 0]
-            raise DisconnectedInput(f"vertices unreachable from 0: {missing}")
+            more = len(missing) - UNREACHABLE_SHOWN
+            tail = f" and {more} more" if more > 0 else ""
+            raise DisconnectedInput(
+                f"vertices unreachable from 0: {missing[:UNREACHABLE_SHOWN]}{tail}")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -35,7 +35,6 @@ class FtReport:
     value: int
     witness: tuple[int, ...]
     method: str
-    all_bases: tuple[tuple[int, ...], ...] | None = None
 
 
 def _as_mask(vertices: Iterable[int]) -> int:
@@ -107,7 +106,7 @@ def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
     return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 
-def _minimum_ft_set(g: Graph) -> tuple[int, tuple[int, ...]]:
+def fdim(g: Graph, cap: int | None = None) -> FtReport:
     """Smallest fault-tolerant resolving set, lexicographically first.
 
     The same search as ``metric_dimension`` with every mask needing two
@@ -116,15 +115,9 @@ def _minimum_ft_set(g: Graph) -> tuple[int, tuple[int, ...]]:
     on the graph's reduced masks and the witness on its distance matrix,
     so basis enumeration, membership and ``theta`` reuse them.
     """
-    value, witness = g.dist.ft_minimum
-    return value, tuple(vertices(witness))
-
-
-def fdim(g: Graph, cap: int | None = None) -> FtReport:
-    """Minimum size of a fault-tolerant resolving set, by exact search."""
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "fault-tolerant search")
-    value, witness = _minimum_ft_set(g)
-    return FtReport(value=value, witness=witness, method="oracle")
+    value, witness = g.dist.ft_minimum
+    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 
 def enumerate_ft_bases(g: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:

@@ -5,9 +5,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import random_connected
+from conftest import connected_graphs, random_connected
 from ftmd import (
     AnchorReuseWithinPiece,
     NonTreeAttachment,
@@ -104,6 +106,17 @@ class TestPointAttach:
                     for y in range(piece.n):
                         assert comp[ids[x]][ids[y]] == local[x][y]
 
+    def test_composite_distances_built_on_first_use(self, bfs_rows):
+        pieces = [cycle_graph(6), complete_graph(4), path_graph(5)]
+        bfs_rows.clear()
+        dec = point_attach([
+            (pieces[0], {0: "a", 3: "b"}),
+            (pieces[1], {0: "a"}),
+            (pieces[2], {2: "b"}),
+        ])
+        assert bfs_rows == [0]  # the composite's connectivity check only
+        assert "dist" not in dec.composite.__dict__
+
     def test_at_least_two_end_pieces(self):
         rng = random.Random(11)
         for _ in range(10):
@@ -116,6 +129,39 @@ class TestPointAttach:
             ])
             ends = [i for i in range(dec.k) if dec.piece_role(i) == "end"]
             assert len(ends) >= 2
+
+
+@st.composite
+def tree_like_specs(draw):
+    """1-5 random connected pieces of order 2-7.  Each piece after the first
+    shares one name declared earlier, at a random vertex; each piece may
+    declare up to two new names, and the first declares at least one."""
+    spec = []
+    declared: list[str] = []
+    for i in range(draw(st.integers(1, 5))):
+        piece = draw(connected_graphs(2, 7))
+        amap = {}
+        if i:
+            amap[draw(st.integers(0, piece.n - 1))] = draw(st.sampled_from(declared))
+        fresh = draw(st.sets(st.integers(0, piece.n - 1), min_size=0 if i else 1, max_size=2))
+        for v in sorted(fresh - set(amap)):
+            amap[v] = f"p{i}.{v}"
+            declared.append(amap[v])
+        spec.append((piece, amap))
+    return spec
+
+
+@given(tree_like_specs())
+@settings(max_examples=80, deadline=None)
+def test_pieces_are_isometric_in_tree_like_composites(spec):
+    dec = point_attach(spec)
+    assert dec.composite.n == sum(p.n for p, _ in spec) - (len(spec) - 1)
+    comp = dec.composite.dist
+    reference = bf.nx_distances(dec.composite.n, dec.composite.edges)
+    for piece, ids in zip(dec.pieces, dec.global_ids):
+        for x in range(piece.n):
+            for y in range(piece.n):
+                assert comp.d(ids[x], ids[y]) == piece.dist.d(x, y) == reference[ids[x]][ids[y]]
 
 
 class TestAttachingFtResolving:

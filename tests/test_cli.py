@@ -5,10 +5,12 @@ import json
 import pytest
 
 from ftmd import decomposition_to_json, figure2_decomposition, format_edge_list
-from ftmd import cycle_graph, complete_graph, path_graph, point_attach
+from ftmd import cycle_graph, complete_graph, path_graph, paw_graph, point_attach
+from ftmd import fdim, fdim_plus, fdim_star, metric_dimension, theta
 from ftmd import RootedProductSpec, rooted_spec_to_json, uniform_rooted_spec, verify
-from ftmd.cli import main
+from ftmd.cli import INVARIANTS, main
 from ftmd.compose import RULES
+from ftmd.resolve import FtReport
 
 
 def write_graph(tmp_path, g, name="g.edgelist"):
@@ -123,6 +125,62 @@ class TestCompute:
         assert err.startswith("error: ") and "not a text file" in err
 
 
+# What each invariant of the CLI table computes, called on the library
+# directly: (value, witness or None).
+LIBRARY = {
+    "mdim": lambda g, at: metric_dimension(g),
+    "fdim": lambda g, at: fdim(g),
+    "fdim-plus": lambda g, at: fdim_plus(g),
+    "fdim-star": lambda g, at: fdim_star(g, at),
+    "theta": lambda g, at: theta(g, at),
+}
+
+
+class TestInvariantTable:
+    @pytest.mark.parametrize("invariant", list(INVARIANTS))
+    @pytest.mark.parametrize("graph", [cycle_graph(8), path_graph(5), paw_graph()],
+                             ids=["C8", "P5", "paw"])
+    def test_compute_matches_the_library(self, tmp_path, capsys, invariant, graph):
+        needs_at, _ = INVARIANTS[invariant]
+        argv = ["compute", "--input", write_graph(tmp_path, graph), "--invariant", invariant,
+                "--output", "json"]
+        if needs_at:
+            argv += ["--at", "0,2"]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        expected = LIBRARY[invariant](graph, (0, 2))
+        if isinstance(expected, int):
+            assert (payload["value"], payload["witness"]) == (expected, None)
+        else:
+            assert payload["value"] == expected.value
+            assert payload["witness"] == list(expected.witness)
+        assert payload["method"] == "oracle"
+
+    def test_table_calls_the_module_global(self, tmp_path, capsys, monkeypatch):
+        import ftmd.cli as cli_mod
+
+        calls = []
+
+        def patched(g, cap=None):
+            calls.append((g.n, cap))
+            return FtReport(7, (0,), "oracle")
+
+        monkeypatch.setattr(cli_mod, "fdim", patched)
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out = run(capsys, "compute", "--input", path, "--invariant", "fdim",
+                        "--oracle-cap", "9", "--output", "json")
+        assert code == 0
+        assert calls == [(8, 9)]
+        assert (json.loads(out)["value"], json.loads(out)["witness"]) == (7, [0])
+
+    @pytest.mark.parametrize("invariant", ["fdim-star", "theta"])
+    def test_needs_at(self, tmp_path, capsys, invariant):
+        path = write_graph(tmp_path, cycle_graph(8))
+        assert main(["compute", "--input", path, "--invariant", invariant]) == 1
+        assert capsys.readouterr().err == f"error: {invariant} needs --at\n"
+
+
 def write_edge_list(tmp_path, n, edges, name="big.edgelist"):
     path = tmp_path / name
     path.write_text("\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]) + "\n")
@@ -150,10 +208,20 @@ class TestOversizedInput:
         assert bfs_rows == [0]
 
     def test_disconnected_is_malformed(self, tmp_path, capsys, bfs_rows):
-        path = write_edge_list(tmp_path, BIG, BIG_CYCLE[:BIG - 2])
+        # m = n - 1 passes the edge count: a 2999-cycle with vertex 2999 isolated
+        cycle = [(i, i + 1) for i in range(BIG - 2)] + [(0, BIG - 2)]
+        path = write_edge_list(tmp_path, BIG, cycle)
         assert main(["compute", "--input", path, "--invariant", "fdim"]) == 1
         assert "unreachable from 0: [2999]" in capsys.readouterr().err
         assert bfs_rows == [0]
+
+    @pytest.mark.parametrize("n, edges", [(BIG, BIG_CYCLE[:BIG - 2]), (1_000_000, [])])
+    def test_too_few_edges_refused_before_bfs(self, tmp_path, capsys, bfs_rows, n, edges):
+        path = write_edge_list(tmp_path, n, edges)
+        assert main(["compute", "--input", path, "--invariant", "fdim"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {len(edges)} edges cannot connect {n} vertices\n")
+        assert bfs_rows == []
 
     def test_self_loop_is_malformed(self, tmp_path, capsys, bfs_rows):
         path = write_edge_list(tmp_path, BIG, BIG_CYCLE + [(5, 5)])
@@ -248,6 +316,16 @@ class TestVerify:
         assert code == 4
         assert json.loads(out)["ok"] is False
 
+    @pytest.mark.parametrize("theorem", ["cor5", "prop7"])
+    def test_shipped_rule_mismatch_exits_4(self, tmp_path, capsys, theorem):
+        # [documented discrepancy] the rule gives 6, the search 4
+        spec = uniform_rooted_spec(path_graph(2), cycle_graph(4), 0)
+        path = write_json(tmp_path, rooted_spec_to_json(spec))
+        code, out = run(capsys, "verify", "--input", path, "--theorem", theorem,
+                        "--output", "json")
+        assert code == 4
+        assert (json.loads(out)["formula"], json.loads(out)["oracle"]) == (6, 4)
+
     def test_cap_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path, decomposition_to_json(figure2_decomposition()))
         code, _ = run(capsys, "verify", "--input", path, "--theorem", "thm2",
@@ -266,6 +344,11 @@ class TestVerify:
                         "--oracle-cap", "21", "--output", "json")
         assert code == 0
         assert json.loads(out)["formula"] == json.loads(out)["oracle"] == 4
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_batch_count_below_one(self, capsys, count):
+        assert main(["verify", "--theorem", "thm2", "--count", count]) == 1
+        assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
 
     def test_batch_needs_a_batched_rule(self, capsys):
         code, _ = run(capsys, "verify", "--theorem", "blocks", "--count", "3")

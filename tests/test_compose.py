@@ -9,6 +9,7 @@ from ftmd import (
     RootedPiece,
     RootedProductSpec,
     block_graph_fdim,
+    bowtie_graph,
     complete_graph,
     cor5_fdim,
     cor8_check,
@@ -451,3 +452,38 @@ class TestRandomDecompositions:
     def test_unknown_condition(self):
         with pytest.raises(IllegalParameter):
             random_decomposition(0, 3, 16, condition="weird")
+
+
+class TestDocumentedDiscrepancies:
+    """[documented discrepancy] Inputs on which a shipped rule disagrees with
+    the exact search.  Each clause pins the rule's value as it stands (the
+    rules are not changed) and the value that the search and the
+    definition-level oracle in bruteforce.py both give."""
+
+    def test_strict_cor3_overestimates_instance_28(self):
+        decs = decomposition_suite(0, 50, (3, 4, 5), 16, "cor3")
+        dec = decs[28]
+        pieces = [(p.n, len(p.edges), dec.at_local(i)) for i, p in enumerate(dec.pieces)]
+        # K4 internal at {1, 2}, a K4 end and a C4 end, order 10
+        assert pieces == [(4, 6, (1, 2)), (4, 6, (3,)), (4, 4, (0,))]
+        assert dec.composite.n == 10
+        res = corollary3_fdim(dec)
+        assert (res.value, res.components) == (8, (2, 3, 3))
+        comp = dec.composite
+        assert fdim(comp).value == bf.fdim(comp.n, comp.edges) == 7
+        assert not verify(dec, "cor3", oracle_cap=16).ok
+        assert sum(not verify(d, "cor3", oracle_cap=16).ok for d in decs) == 14
+
+    @pytest.mark.parametrize("piece, root, formula, search", [
+        (cycle_graph(4), 0, 6, 4),
+        (bowtie_graph(), 0, 6, 4),
+        (bowtie_graph(), 2, 8, 8),  # the bowtie rooted at its centre agrees
+    ], ids=["C4-root0", "bowtie-root0", "bowtie-root2"])
+    def test_cor5_and_prop7_on_p2_products(self, piece, root, formula, search):
+        spec = uniform_rooted_spec(path_graph(2), piece, root)
+        assert cor5_fdim(spec).value == formula
+        assert prop7_fdim(path_graph(2), piece, root).value == formula
+        comp = rooted_product(spec).composite
+        assert fdim(comp).value == bf.fdim(comp.n, comp.edges) == search
+        for theorem in ("cor5", "prop7"):
+            assert verify(spec, theorem).ok is (formula == search)

@@ -48,6 +48,14 @@ class TestBuildGraph:
         with pytest.raises(DisconnectedInput):
             build_graph(4, [(0, 1), (1, 2), (2, 0)])
 
+    def test_unreachable_list_is_truncated(self):
+        # K_78 has 3003 edges, enough to pass the edge count for n = 3000
+        clique = list(itertools.combinations(range(78), 2))
+        with pytest.raises(DisconnectedInput) as info:
+            build_graph(3000, clique)
+        assert str(info.value) == (
+            f"vertices unreachable from 0: {list(range(78, 98))} and {3000 - 98} more")
+
     def test_rejects_self_loop(self):
         with pytest.raises(SelfLoop):
             build_graph(3, [(0, 1), (1, 1), (1, 2)])
