@@ -24,8 +24,6 @@ from typing import Iterable, Mapping, Sequence
 from .cover import Cover, vertices
 from .errors import (
     AnchorReuseWithinPiece,
-    DisconnectedInput,
-    DisconnectedResult,
     InputFormatError,
     InvalidVertexSet,
     NonTreeAttachment,
@@ -129,10 +127,7 @@ def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decompositi
         global_ids.append(tuple(ids))
         anchor_maps.append(tuple(items))
         edges.extend((ids[u], ids[v]) for u, v in piece.edges)
-    try:
-        composite = build_graph(next_id, edges)
-    except DisconnectedInput as exc:  # unreachable for tree-like input; kept defensive
-        raise DisconnectedResult(str(exc)) from exc
+    composite = build_graph(next_id, edges)
     return Decomposition(tuple(pieces), tuple(anchor_maps), composite, tuple(global_ids))
 
 
@@ -210,49 +205,45 @@ def fdim_star_closed_form(family: str, n: int, anchors: Iterable[int]) -> int:
     raise UnsupportedConfiguration(f"no closed form for family {family!r}")
 
 
-@dataclass(frozen=True)
-class C1Check:
-    """Outcome of the anchor-distance domination check."""
-
-    holds: bool
-    cases: tuple[int, ...]
-    violation: tuple[int, int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_C1(g: Graph, at: Iterable[int]) -> C1Check:
-    """Anchor-distance domination: from any anchor, every outside vertex is
-    dominated by some anchor at least as far away.
-
-    The ``cases`` field lists which of the four structural sufficient
-    conditions apply: (1) every vertex is an anchor, (2) independent
-    anchors in a diameter-2 graph, (3) anchors pairwise at full mutual
-    eccentricity, (4) even graph with antipodally closed anchors.
-    """
+def _c1_anchors(g: Graph, at: Iterable[int]) -> tuple[int, ...]:
     av = _validated(g.n, at)
     if not av:
-        raise InvalidVertexSet("check_C1 needs a non-empty anchor set")
+        raise InvalidVertexSet("C1 needs a non-empty anchor set")
+    return av
+
+
+def c1_violation(g: Graph, at: Iterable[int]) -> tuple[int, int] | None:
+    """The first (anchor, outside vertex) pair that breaks C1, or None.
+
+    C1 is anchor-distance domination: from any anchor a1, every vertex v
+    outside the anchors is dominated by some anchor a2 at least as far from
+    a1 as from v.
+    """
+    av = _c1_anchors(g, at)
     d = g.dist
     anchored = set(av)
-    outside = [v for v in range(g.n) if v not in anchored]
-    violation = None
     for a1 in av:
-        for v in outside:
-            if not any(d.d(a1, a2) >= d.d(v, a2) for a2 in av):
-                violation = (a1, v)
-                break
-        if violation:
-            break
-    return C1Check(holds=violation is None, cases=_c1_cases(g, av), violation=violation)
+        for v in range(g.n):
+            if v not in anchored and not any(d.d(a1, a2) >= d.d(v, a2) for a2 in av):
+                return a1, v
+    return None
+
+
+def check_C1(g: Graph, at: Iterable[int]) -> bool:
+    """Condition C1 on an internal piece's anchors (see ``c1_violation``)."""
+    return c1_violation(g, at) is None
 
 
 def _pairs(av: tuple[int, ...]):
     return ((u, v) for i, u in enumerate(av) for v in av[i + 1:])
 
 
-def _c1_cases(g: Graph, av: tuple[int, ...]) -> tuple[int, ...]:
+def c1_cases(g: Graph, at: Iterable[int]) -> tuple[int, ...]:
+    """Which of the four structural sufficient conditions for C1 apply:
+    (1) every vertex is an anchor, (2) independent anchors in a diameter-2
+    graph, (3) anchors pairwise at full mutual eccentricity, (4) even graph
+    with antipodally closed anchors."""
+    av = _c1_anchors(g, at)
     d = g.dist
     cases = []
     if len(av) == g.n:

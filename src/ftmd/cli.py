@@ -97,7 +97,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="emit a named family graph or decomposition")
     p.add_argument("family", choices=FAMILY_NAMES)
     p.add_argument("size", type=int, nargs="?", default=None)
-    common(p)
     return parser
 
 
@@ -189,8 +188,8 @@ def cmd_compute(ns: argparse.Namespace) -> int:
             raise InputFormatError(f"bad --at value: {exc}") from exc
     g = _load_graph(ns)
     needs_at, search = INVARIANTS[ns.invariant]
-    if needs_at and anchors is None:
-        raise InputFormatError(f"{ns.invariant} needs --at")
+    if needs_at != (anchors is not None):
+        raise InputFormatError(f"{ns.invariant} {'needs' if needs_at else 'takes no'} --at")
     started = time.perf_counter()
     value, witness = search(g, anchors, ns.oracle_cap)
     elapsed = time.perf_counter() - started
@@ -314,7 +313,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        ns.oracle_cap = _oracle_cap(ns.oracle_cap)
+        if "oracle_cap" in ns:  # every command but generate
+            ns.oracle_cap = _oracle_cap(ns.oracle_cap)
         return _HANDLERS[ns.command](ns)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ fallback explicitly.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -86,7 +87,7 @@ def _attachment_checks(dec: Decomposition) -> list[tuple[str, bool]]:
         role = dec.piece_role(i)
         if role == "internal":
             checks.append(
-                (f"piece {i} (internal) satisfies C1", check_C1(piece, dec.at_local(i)).holds)
+                (f"piece {i} (internal) satisfies C1", check_C1(piece, dec.at_local(i)))
             )
         elif role == "end":
             ends.append(i)
@@ -490,85 +491,103 @@ _POOL: dict[str, Graph] = {
 }
 
 
+_MAX_ATTEMPTS = 500
+
+
 def random_decomposition(
     seed_or_rng: int | random.Random,
     k: int,
     max_order: int,
     condition: str | None = None,
-    max_attempts: int = 500,
 ) -> Decomposition:
     """Draw a reproducible decomposition from the fixed piece pool.
 
     ``condition`` None gives an unconstrained tree-like glueing; "thm2"
-    filters anchor placements so the attachment conditions hold, and
-    "cor3" additionally keeps only pieces with proper anchors and equal
-    minimum/maximum minimal set sizes.
+    draws anchor placements so the attachment conditions hold, and "cor3"
+    additionally keeps only pieces with proper anchors and equal
+    minimum/maximum minimal set sizes.  Both conditions need k >= 3.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     if condition not in (None, "thm2", "cor3"):
         raise IllegalParameter(f"unknown generator condition {condition!r}")
-    for _ in range(max_attempts):
+    if condition is not None and k < 3:
+        raise IllegalParameter(f"condition {condition!r} needs k >= 3, got {k}")
+    for _ in range(_MAX_ATTEMPTS):
         dec = _try_random_decomposition(rng, k, max_order, condition)
         if dec is not None:
             return dec
     raise RuntimeError(
-        f"no admissible decomposition found in {max_attempts} attempts (k={k})"
+        f"no admissible decomposition found in {_MAX_ATTEMPTS} attempts (k={k})"
     )
+
+
+@functools.cache
+def _admissible_anchors(name: str, need: int) -> tuple[tuple[int, ...], ...]:
+    """The anchor sets of ``need`` vertices on pool piece ``name`` that pass
+    its attachment condition: C2 for an end (one anchor), C1 otherwise."""
+    g = _POOL[name]
+    check = check_C2 if need == 1 else check_C1
+    return tuple(s for s in combinations(range(g.n), need) if check(g, s))
 
 
 def _try_random_decomposition(
     rng: random.Random, k: int, max_order: int, condition: str | None
 ) -> Decomposition | None:
-    names = list(_POOL)
-    pieces: list[Graph] = []
+    """One draw, or None when it dead-ends.
+
+    The order budget keeps the composite within ``max_order``.  A
+    conditioned draw (k >= 3) meets every attachment check by construction:
+    each piece's anchors come from ``_admissible_anchors``; a tree on k >= 2
+    pieces has at least two leaves, which are the end pieces; and each
+    anchor vertex joins one piece to one child, so two ends could share it
+    only as the root and its single child, that is for k = 2.
+    """
+    names: list[str] = []
     total = 0
     for i in range(k):
         budget = max_order - total + (0 if i == 0 else 1)
-        fits = [nm for nm in names if _POOL[nm].n <= budget]
+        fits = [nm for nm in _POOL if _POOL[nm].n <= budget]
         if not fits:
             return None
-        piece = _POOL[rng.choice(fits)]
-        pieces.append(piece)
-        total += piece.n if i == 0 else piece.n - 1
+        names.append(rng.choice(fits))
+        total += _POOL[names[i]].n - (0 if i == 0 else 1)
+    pieces = [_POOL[nm] for nm in names]
 
     parent = {i: rng.randrange(i) for i in range(1, k)}
     children: dict[int, list[int]] = {i: [] for i in range(k)}
     for i in range(1, k):
         children[parent[i]].append(i)
+    need = [len(children[i]) + (1 if i > 0 else 0) for i in range(k)]
 
     # Per piece: the vertex identified with its parent, and the vertices its
     # children attach to.  Conditioned runs draw the whole anchor set from
-    # the subsets that actually pass the checks.
+    # the subsets that pass the piece's condition.
     own_anchor: dict[int, int] = {}
     target_of: dict[int, int] = {}
     for i in range(k):
         g = pieces[i]
-        need = len(children[i]) + (1 if i > 0 else 0)
         if condition is None:
             if i > 0:
                 own_anchor[i] = rng.randrange(g.n)
             for c in children[i]:
                 target_of[c] = rng.randrange(g.n)
             continue
-        if need == 0:
-            return None  # isolated piece; only possible for k == 1
-        if need == 1:
-            candidates = [v for v in range(g.n) if check_C2(g, (v,))]
-            if not candidates:
-                return None
-            chosen = [rng.choice(candidates)]
-        else:
-            if need > g.n:
-                return None
-            options = [s for s in combinations(range(g.n), need) if check_C1(g, s).holds]
-            if not options:
-                return None
-            chosen = list(rng.choice(options))
-            rng.shuffle(chosen)
+        options = _admissible_anchors(names[i], need[i])
+        if not options:
+            return None
+        chosen = list(rng.choice(options))
+        rng.shuffle(chosen)
         if i > 0:
             own_anchor[i] = chosen.pop()
         for c in children[i]:
             target_of[c] = chosen.pop()
+
+    # Only after the last draw, so a rejected attempt consumes the same
+    # draws whichever piece it rejects.
+    if condition == "cor3":
+        for i, piece in enumerate(pieces):
+            if need[i] == piece.n or fdim(piece).value != fdim_plus(piece).value:
+                return None
 
     def resolve_name(i: int, local: int) -> str:
         while i > 0 and local == own_anchor[i]:
@@ -583,19 +602,7 @@ def _try_random_decomposition(
         if i > 0:
             amap[own_anchor[i]] = resolve_name(i, own_anchor[i])
         spec.append((pieces[i], amap))
-    dec = point_attach(spec)
-    if dec.composite.n > max_order:
-        return None
-    if condition is not None:
-        if any(not ok for _, ok in _attachment_checks(dec)):
-            return None
-        if condition == "cor3":
-            for i, piece in enumerate(dec.pieces):
-                if len(dec.at_local(i)) == piece.n:
-                    return None
-                if fdim(piece).value != fdim_plus(piece).value:
-                    return None
-    return dec
+    return point_attach(spec)
 
 
 def decomposition_suite(

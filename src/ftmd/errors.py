@@ -51,10 +51,6 @@ class NonTreeAttachment(FtmdError):
     """A piece shares zero or several known anchors; the glueing must stay tree-like."""
 
 
-class DisconnectedResult(FtmdError):
-    """Glueing produced a disconnected composite (should not happen for valid input)."""
-
-
 class OverlapError(FtmdError):
     """Candidate set intersects the anchor set."""
 

@@ -242,7 +242,8 @@ def _automorphism_moving(g: Graph, src: int, dst: int) -> bool:
     """Backtracking search for a distance-preserving bijection with src -> dst."""
     n = g.n
     rows = g.dist.rows
-    order = [src] + [v for v in _bfs_order(g, src) if v != src]
+    # by distance from src, ties by label; the order only affects pruning
+    order = sorted(range(n), key=lambda v: (rows[src][v], v))
     image = [-1] * n
     used = [False] * n
     image[src] = dst
@@ -271,21 +272,6 @@ def _automorphism_moving(g: Graph, src: int, dst: int) -> bool:
         return False
 
     return extend(1)
-
-
-def _bfs_order(g: Graph, source: int) -> list[int]:
-    seen = [False] * g.n
-    seen[source] = True
-    order = [source]
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                order.append(w)
-                queue.append(w)
-    return order
 
 
 # --- edge-list text format -------------------------------------------------

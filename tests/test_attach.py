@@ -15,6 +15,8 @@ from ftmd import (
     NonTreeAttachment,
     OverlapError,
     UnsupportedConfiguration,
+    c1_cases,
+    c1_violation,
     check_C1,
     check_C2,
     complete_graph,
@@ -283,38 +285,34 @@ class TestClosedForms:
 
 class TestConditionC1:
     def test_all_vertices_anchored(self):
-        res = check_C1(complete_graph(3), (0, 1, 2))
-        assert res.holds
-        assert 1 in res.cases
+        assert check_C1(complete_graph(3), (0, 1, 2))
+        assert 1 in c1_cases(complete_graph(3), (0, 1, 2))
 
     def test_cycle_antipodal_pair(self):
-        res = check_C1(cycle_graph(8), (0, 4))
-        assert res.holds
-        assert 4 in res.cases
+        assert check_C1(cycle_graph(8), (0, 4))
+        assert 4 in c1_cases(cycle_graph(8), (0, 4))
 
     def test_star_leaves_diameter_two(self):
-        res = check_C1(star_graph(3), (1, 2))
-        assert res.holds
-        assert 2 in res.cases
+        assert check_C1(star_graph(3), (1, 2))
+        assert 2 in c1_cases(star_graph(3), (1, 2))
 
     def test_path_adjacent_interior_anchors_fail(self):
-        res = check_C1(path_graph(5), (1, 2))
-        assert not res.holds
-        assert res.violation is not None
-        assert res.cases == ()
+        assert check_C1(path_graph(5), (1, 2)) is False
+        assert c1_violation(path_graph(5), (1, 2)) is not None
+        assert c1_cases(path_graph(5), (1, 2)) == ()
 
     def test_cases_are_sufficient(self):
         rng = random.Random(17)
         for _ in range(60):
             g = random_connected(rng, rng.randint(3, 7))
             at = tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n))))
-            res = check_C1(g, at)
-            if res.cases:
-                assert res.holds
+            holds = check_C1(g, at)
+            assert holds is (c1_violation(g, at) is None)
+            if c1_cases(g, at):
+                assert holds
 
     def test_violation_is_real(self):
-        res = check_C1(path_graph(5), (1, 2))
-        a1, v = res.violation
+        a1, v = c1_violation(path_graph(5), (1, 2))
         d = path_graph(5).dist
         assert all(d.d(a1, a2) < d.d(v, a2) for a2 in (1, 2))
 

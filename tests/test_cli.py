@@ -180,6 +180,13 @@ class TestInvariantTable:
         assert main(["compute", "--input", path, "--invariant", invariant]) == 1
         assert capsys.readouterr().err == f"error: {invariant} needs --at\n"
 
+    @pytest.mark.parametrize("invariant", ["mdim", "fdim", "fdim-plus"])
+    def test_takes_no_at(self, tmp_path, capsys, invariant):
+        path = write_graph(tmp_path, cycle_graph(8))
+        assert main(["compute", "--input", path, "--invariant", invariant, "--at", "99,-4"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {invariant} takes no --at\n")
+
 
 def write_edge_list(tmp_path, n, edges, name="big.edgelist"):
     path = tmp_path / name
@@ -425,6 +432,20 @@ class TestGenerate:
     def test_bad_parameter(self, capsys):
         code, _ = run(capsys, "generate", "cycle", "2")
         assert code == 1
+
+    def test_ignores_the_cap_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("FTMD_ORACLE_CAP", "x")
+        code, out = run(capsys, "generate", "cycle", "4")
+        assert code == 0
+        assert out.splitlines()[0] == "4 4"
+
+    @pytest.mark.parametrize("flag", [["--oracle-cap", "1"], ["--oracle-cap", "9"],
+                                      ["--output", "json"], ["--timings"]])
+    def test_search_options_are_usage_errors(self, capsys, flag):
+        assert main(["generate", "cycle", "4", *flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unrecognized arguments: ")
 
 
 class TestJsonRoundTrip:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 import bruteforce as bf
@@ -16,6 +19,7 @@ from ftmd import (
     corollary3_fdim,
     cycle_graph,
     decomposition_suite,
+    decomposition_to_json,
     fdim,
     figure2_decomposition,
     is_path_graph,
@@ -423,12 +427,39 @@ class TestRandomDecompositions:
             assert x.composite.edges == y.composite.edges
             assert x.anchor_maps == y.anchor_maps
 
-    def test_conditioned_instances_satisfy_hypotheses(self):
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("condition", ["thm2", "cor3"])
+    def test_conditioned_instances_satisfy_hypotheses(self, condition, k):
+        # the generator checks nothing after the build; these hold by construction
+        from ftmd import fdim_plus
         from ftmd.compose import _attachment_checks
 
-        for dec in decomposition_suite(2, 10, (3, 4, 5), 16, "thm2"):
+        for dec in decomposition_suite(2, 40, (k,), 16, condition):
+            assert dec.k == k
             assert all(ok for _, ok in _attachment_checks(dec))
             assert dec.composite.n <= 16
+            if condition == "cor3":
+                for i, piece in enumerate(dec.pieces):
+                    assert len(dec.at_local(i)) < piece.n
+                    assert fdim(piece).value == fdim_plus(piece).value
+
+    @pytest.mark.parametrize("condition, ks, max_order, digest", [
+        ("thm2", (3, 4, 5), 16, "fef6232e1821c311bf7d3df77bbf6eebf4799997"),
+        ("cor3", (3, 4, 5), 16, "514658c3ff78f7b91aa43b2214c7d4c45f42c8c8"),
+        (None, (1, 2, 3, 4, 5), 14, "83f98b8760c017247deb64c56fa7e3c41a72c5ac"),
+    ], ids=["thm2", "cor3", "unconditioned"])
+    def test_draw_stream_is_pinned(self, condition, ks, max_order, digest):
+        # suites, bench pins and verify --count output all follow this stream
+        h = hashlib.sha1()
+        for seed in range(5):
+            for dec in decomposition_suite(seed, 20, ks, max_order, condition):
+                h.update(json.dumps(decomposition_to_json(dec), sort_keys=True).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("condition", ["thm2", "cor3"])
+    def test_conditions_need_three_pieces(self, condition):
+        with pytest.raises(IllegalParameter, match="needs k >= 3"):
+            random_decomposition(0, 2, 16, condition=condition)
 
     def test_unconditioned_instances_respect_order(self):
         for dec in decomposition_suite(3, 10, (2, 3, 4, 5), 14):
