@@ -26,7 +26,7 @@ from .attach import (
 )
 from .errors import IllegalParameter, InputFormatError, PreconditionFailed
 from .families import complete_graph, cycle_graph, path_graph, paw_graph, star_graph
-from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_path_graph
+from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_int, is_path_graph
 from .resolve import (
     _as_mask,
     _ft_resolves,
@@ -337,7 +337,7 @@ def rooted_spec_from_json(obj) -> RootedProductSpec:
             raise InputFormatError('uniform family needs "copies": "per-base-vertex"')
         piece = graph_from_json_dict(family.get("graph"))
         root = family.get("root")
-        if not isinstance(root, int):
+        if not is_int(root):
             raise InputFormatError('"root" must be an integer')
         return uniform_rooted_spec(base, piece, root)
     if not isinstance(family, list):
@@ -346,7 +346,7 @@ def rooted_spec_from_json(obj) -> RootedProductSpec:
     for idx, entry in enumerate(family):
         if not isinstance(entry, dict) or "graph" not in entry or "root" not in entry:
             raise InputFormatError(f'family entry {idx} needs "graph" and "root"')
-        if not isinstance(entry["root"], int):
+        if not is_int(entry["root"]):
             raise InputFormatError(f"family entry {idx}: root must be an integer")
         pieces.append(RootedPiece(graph_from_json_dict(entry["graph"]), entry["root"]))
     return RootedProductSpec(base, tuple(pieces))
@@ -491,6 +491,7 @@ _POOL: dict[str, Graph] = {
 }
 
 
+_MIN_PIECE = min(g.n for g in _POOL.values())
 _MAX_ATTEMPTS = 500
 
 
@@ -505,13 +506,18 @@ def random_decomposition(
     ``condition`` None gives an unconstrained tree-like glueing; "thm2"
     draws anchor placements so the attachment conditions hold, and "cor3"
     additionally keeps only pieces with proper anchors and equal
-    minimum/maximum minimal set sizes.  Both conditions need k >= 3.
+    minimum/maximum minimal set sizes.  Both conditions need k >= 3, and
+    ``max_order`` must hold k of the smallest pool pieces.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     if condition not in (None, "thm2", "cor3"):
         raise IllegalParameter(f"unknown generator condition {condition!r}")
     if condition is not None and k < 3:
         raise IllegalParameter(f"condition {condition!r} needs k >= 3, got {k}")
+    # k pieces glued at k - 1 shared vertices, each of the smallest order
+    least = _MIN_PIECE + (k - 1) * (_MIN_PIECE - 1)
+    if max_order < least:
+        raise IllegalParameter(f"{k} pool pieces need max_order >= {least}, got {max_order}")
     for _ in range(_MAX_ATTEMPTS):
         dec = _try_random_decomposition(rng, k, max_order, condition)
         if dec is not None:

@@ -15,16 +15,14 @@ Search.  Rows are the bits of one integer, and each vertex keeps the set
 of rows that contain it, so every step of the search is a handful of
 integer operations.  A node knows the rows that still need one or two more
 hits and the vertices not yet decided.  It fails when some row has fewer
-free vertices than it needs, forces every free vertex of a row with no
-slack, and prunes on two lower bounds for the vertices still to pick: a
-greedy packing of rows with pairwise disjoint free vertices (each needs
-its own hits) and the fewest free vertices whose unmet-row counts add up to
-the total remaining need.  Otherwise it branches include/exclude on a
-vertex of the unmet row with the least slack (slacks of two and more count
-as equal, and the first such row is taken): the vertex that meets the most
-unmet rows, the lowest on ties.  With one vertex left to pick, the
-candidates are narrowed row by row; with two, one of them lies in the
-first unmet row.
+free vertices than it needs and forces every free vertex of a row with no
+slack.  Otherwise it branches include/exclude on a vertex of the first
+unmet row, which is a smallest one since rows are sorted by size: the
+vertex that meets the most unmet rows, the lowest on ties.  With one vertex
+left to pick, the candidates are narrowed row by row; with two, one of them
+lies in the first unmet row.  The only lower bound is taken once, before
+the search: a greedy packing of pairwise disjoint rows sets the first size
+tried; per-node bounds cut nodes here but cost more time than they save.
 
 Witnesses.  For sets of one size, the lexicographically first one contains
 the smallest element of the symmetric difference.  So once the minimum
@@ -139,17 +137,14 @@ class Cover:
                 if budget == 2:
                     return last_two(chosen, free, need1, need2)
                 return budget == 1 and last_one(chosen, free, need1, need2)
-            # c1..c4: unmet rows with at least 1..4 free vertices
-            c1 = c2 = c3 = c4 = 0
-            degrees = []
+            # c1..c3: unmet rows with at least 1..3 free vertices
+            c1 = c2 = c3 = 0
             f = free
             while f:
                 low = f & -f
                 f ^= low
                 x = inc[low] & need1
                 if x:
-                    degrees.append(x.bit_count())
-                    c4 |= c3 & x
                     c3 |= c2 & x
                     c2 |= c1 & x
                     c1 |= x
@@ -166,34 +161,10 @@ class Cover:
                     x = inc[b]
                     need1, need2 = (need1 & ~x) | (need2 & x), need2 & ~x
                 return visit(chosen | force, free & ~force, need1, need2, budget - k)
-            # each pick lowers the total need by at most its unmet-row count
-            degrees.sort(reverse=True)
-            if sum(degrees[:budget]) < need1.bit_count() + need2.bit_count():
-                return False
-            # rows with pairwise disjoint free vertices each need their own
-            # picks; pack them greedily, scarcest first
-            bound = 0
-            cand = need1
-            for group in (c1 & ~c2, c2 & ~c3, c3 & ~c4, c4):
-                group &= cand
-                while group:
-                    low = group & -group
-                    bound += 2 if need2 & low else 1
-                    if bound > budget:
-                        return False
-                    block = 0
-                    m = rows[low.bit_length() - 1] & free
-                    while m:
-                        b = m & -m
-                        m ^= b
-                        block |= inc[b]
-                    cand &= ~block
-                    group &= ~block
-            # branch on a row with slack 1 if there is one, else on the first
-            # unmet row, and there on the vertex meeting the most unmet rows
-            pick = (once & ~c3) | (need2 & ~c4) or need1
+            # branch on the first (smallest) unmet row, and there on the
+            # vertex meeting the most unmet rows
             best = -1
-            m = rows[(pick & -pick).bit_length() - 1] & free
+            m = rows[(need1 & -need1).bit_length() - 1] & free
             while m:
                 b = m & -m
                 m ^= b

@@ -164,16 +164,6 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph(int(n), tuple((int(u), int(v)) for u, v in edges))
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact BFS hop distances for every vertex pair."""
-    return g.dist
-
-
-def eccentricity_and_diameter(d: DistanceMatrix) -> tuple[tuple[int, ...], int]:
-    """Per-vertex eccentricities and the graph diameter."""
-    return d.eccentricities, d.diameter
-
-
 def is_even_graph(d: DistanceMatrix) -> bool:
     """True when every vertex has exactly one vertex at full diameter."""
     diam = d.diameter
@@ -312,6 +302,12 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
+def is_int(x) -> bool:
+    """True for an int that is not a bool: JSON ``true`` loads as ``True``,
+    which ``isinstance(x, int)`` accepts."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json_dict(obj) -> Graph:
     """Build a Graph from a {"n": int, "edges": [[u, v], ...]} payload."""
     if not isinstance(obj, dict):
@@ -320,13 +316,13 @@ def graph_from_json_dict(obj) -> Graph:
         raise InputFormatError('graph JSON needs "n" and "edges"')
     n = obj["n"]
     edges = obj["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    if not is_int(n) or not isinstance(edges, list):
         raise InputFormatError('"n" must be an integer and "edges" a list')
     pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InputFormatError(f"edge {e!r} is not a pair")
-        if not (isinstance(e[0], int) and isinstance(e[1], int)):
+        if not (is_int(e[0]) and is_int(e[1])):
             raise InputFormatError(f"edge {e!r} needs integer endpoints")
         pairs.append((e[0], e[1]))
     return build_graph(n, pairs)

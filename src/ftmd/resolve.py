@@ -95,11 +95,11 @@ def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
 
     The search runs on the masks with duplicates and supersets dropped.
     It raises the size from a greedy packing bound (pairwise disjoint masks
-    each need their own landmark) and branches include/exclude on the unmet
-    mask with the least slack.  Then it fixes vertices in order to recover
-    the lexicographically first witness.  A twin pair's mask holds just the
-    pair, so it has the least slack and is branched on first; no separate
-    twin-class rule is needed.  It runs uncapped unless ``cap`` is given.
+    each need their own landmark) and branches include/exclude on the
+    first unmet mask, a smallest one.  Then it fixes vertices in order to
+    recover the lexicographically first witness.  A twin pair's mask holds
+    just the pair, so it is among the smallest and is branched on first; no
+    separate twin-class rule is needed.  It runs uncapped unless ``cap`` is given.
     """
     _check_cap(g.n, cap, None, "resolving search")
     value, witness = g.dist.cover.minimum(1)

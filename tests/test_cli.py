@@ -115,6 +115,13 @@ class TestCompute:
         assert main(["compute", "--input", path, "--invariant", invariant, "--at", "0,7"]) == 1
         assert capsys.readouterr().err == "error: vertex set (0, 7) outside 0..3\n"
 
+    def test_boolean_endpoints_are_refused(self, tmp_path, capsys):
+        # JSON true/false load as bools, which isinstance(_, int) accepts
+        path = write_json(tmp_path, {"n": 3, "edges": [[False, True], [True, 2]]})
+        assert main(["compute", "--input", path, "--format", "json",
+                     "--invariant", "fdim"]) == 1
+        assert "needs integer endpoints" in capsys.readouterr().err
+
     @pytest.mark.parametrize("input_format", ["edgelist", "json"])
     def test_binary_input(self, tmp_path, capsys, input_format):
         path = tmp_path / "g.bin"
@@ -269,6 +276,17 @@ class TestCompose:
         payload = json.loads(out)
         assert payload["value"] is None
         assert "k >= 3" in payload["failed"]
+
+    @pytest.mark.parametrize("family", [
+        {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "root": True,
+         "copies": "per-base-vertex"},
+        [{"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "root": False}] * 2,
+    ], ids=["uniform", "list"])
+    def test_boolean_root_is_refused(self, tmp_path, capsys, family):
+        spec = {"base": {"n": 2, "edges": [[0, 1]]}, "family": family}
+        path = write_json(tmp_path, spec)
+        assert main(["compose", "--input", path, "--theorem", "prop7"]) == 1
+        assert "root must be an integer" in capsys.readouterr().err.replace('"', "")
 
     def test_malformed_spec(self, tmp_path, capsys):
         path = write_json(tmp_path, {"pieces": "nope"})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -460,6 +461,21 @@ class TestRandomDecompositions:
     def test_conditions_need_three_pieces(self, condition):
         with pytest.raises(IllegalParameter, match="needs k >= 3"):
             random_decomposition(0, 2, 16, condition=condition)
+
+    @pytest.mark.parametrize("k, max_order, condition", [
+        (3, 2, None), (5, 6, "thm2"), (3, 6, "thm2"),
+    ])
+    def test_refuses_orders_below_smallest_composite(self, k, max_order, condition):
+        # k pieces of order 3 glued at k - 1 vertices need 2k + 1 vertices
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(IllegalParameter, match=f"max_order >= {2 * k + 1}"):
+            random_decomposition(rng, k, max_order, condition=condition)
+        assert rng.getstate() == state  # refused before any draw
+
+    def test_smallest_composite_order_builds(self):
+        dec = random_decomposition(0, 3, 7, condition="thm2")
+        assert dec.k == 3 and dec.composite.n == 7
 
     def test_unconditioned_instances_respect_order(self):
         for dec in decomposition_suite(3, 10, (2, 3, 4, 5), 14):

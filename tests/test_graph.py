@@ -15,11 +15,9 @@ from ftmd import (
     OrderTooSmall,
     SelfLoop,
     VertexOutOfRange,
-    all_pairs_distances,
     build_graph,
     complete_graph,
     cycle_graph,
-    eccentricity_and_diameter,
     format_edge_list,
     graph_from_json_dict,
     hypercube_graph,
@@ -89,16 +87,16 @@ class TestBuildGraph:
 
 class TestDistances:
     def test_path_distances(self):
-        d = all_pairs_distances(path_graph(3))
+        d = path_graph(3).dist
         assert d.d(0, 2) == 2
         assert d.d(0, 1) == 1
 
     def test_even_cycle_antipode(self):
-        d = all_pairs_distances(cycle_graph(6))
+        d = cycle_graph(6).dist
         assert all(d.d(v, (v + 3) % 6) == 3 for v in range(6))
 
     def test_complete_graph_all_ones(self):
-        d = all_pairs_distances(complete_graph(5))
+        d = complete_graph(5).dist
         assert all(d.d(u, v) == 1 for u in range(5) for v in range(5) if u != v)
 
     def test_matches_networkx(self):
@@ -108,19 +106,19 @@ class TestDistances:
 
 class TestEccentricity:
     def test_path(self):
-        ecc, diam = eccentricity_and_diameter(path_graph(5).dist)
-        assert diam == 4
-        assert ecc[0] == 4 and ecc[2] == 2
+        d = path_graph(5).dist
+        assert d.diameter == 4
+        assert d.eccentricities[0] == 4 and d.eccentricities[2] == 2
 
     def test_complete(self):
-        ecc, diam = eccentricity_and_diameter(complete_graph(4).dist)
-        assert diam == 1 and set(ecc) == {1}
+        d = complete_graph(4).dist
+        assert d.diameter == 1 and set(d.eccentricities) == {1}
 
     def test_paw(self):
         # enumerated by hand: pendant sits at distance 2 from the far triangle pair
-        ecc, diam = eccentricity_and_diameter(paw_graph().dist)
-        assert diam == 2
-        assert ecc[3] == 2
+        d = paw_graph().dist
+        assert d.diameter == 2
+        assert d.eccentricities[3] == 2
 
 
 class TestEvenGraph:
@@ -244,7 +242,12 @@ class TestEdgeListFormat:
         with pytest.raises(InputFormatError):
             parse_edge_list("# nothing\n")
 
-    @pytest.mark.parametrize("edge", [["a", 1], [None, 1], [0.0, 1]])
+    @pytest.mark.parametrize("edge", [["a", 1], [None, 1], [0.0, 1], [False, 1], [0, True]])
     def test_json_endpoints_must_be_integers(self, edge):
-        with pytest.raises(InputFormatError):
+        with pytest.raises(InputFormatError, match="integer endpoints"):
             graph_from_json_dict({"n": 3, "edges": [edge, [1, 2]]})
+
+    def test_json_order_must_not_be_boolean(self):
+        # isinstance(True, int) holds, and True would build a 1-vertex graph
+        with pytest.raises(InputFormatError, match='"n" must be an integer'):
+            graph_from_json_dict({"n": True, "edges": []})

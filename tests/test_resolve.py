@@ -295,6 +295,27 @@ def test_witnesses_match_reference_over_atlas(atlas_upto_6):
             assert theta(g, at) == bf.theta_from_bases(dist, n, bases, at), (edges, at)
 
 
+def test_witnesses_match_reference_over_order_7_atlas(atlas_upto_7):
+    # the same witness-level contract on every connected order-7 graph, with
+    # one seeded anchor set of 1-3 vertices per graph for fdim_star
+    rng = random.Random(7)
+    order_7 = [g for g in atlas_upto_7 if g.n == 7]
+    assert len(order_7) == 853
+    for g in order_7:
+        n, edges = g.n, g.edges
+        first = bf.first_resolving_set(n, edges)
+        rep = metric_dimension(g)
+        assert (rep.value, rep.witness) == (len(first), first), edges
+        bases = bf.ft_bases(n, edges)
+        rep = fdim(g)
+        assert (rep.value, rep.witness) == (len(bases[0]), bases[0]), edges
+        assert list(enumerate_ft_bases(g)) == bases, edges
+        at = tuple(sorted(rng.sample(range(n), rng.randint(1, 3))))
+        first = bf.first_attaching_set(n, edges, at)
+        rep = fdim_star(g, at)
+        assert (rep.value, rep.witness) == (len(first), first), (edges, at)
+
+
 def test_membership_and_theta_agree_with_enumeration():
     # beyond brute-force reach: membership and theta run their own searches,
     # so compare them with the basis list of a separately built graph
