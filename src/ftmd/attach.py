@@ -82,9 +82,6 @@ class Decomposition:
             return "unattached"
         return "end" if count == 1 else "internal"
 
-    def global_of(self, i: int, local: int) -> int:
-        return self.global_ids[i][local]
-
 
 def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decomposition:
     """Glue the given pieces, identifying equal anchor names across pieces."""

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .attach import fdim_star
-from .compose import RULES, TheoremResult, decomposition_suite, verify
+from .compose import RULES, TheoremResult, VerifyReport, decomposition_suite, verify
 from .errors import FtmdError, InputFormatError, OrderCapExceeded, PreconditionFailed
 from .families import FAMILY_NAMES, FamilySpec, generate
 from .graph import Graph, format_edge_list, graph_from_json_dict, parse_edge_list
@@ -145,8 +145,9 @@ def _emit(payload: dict, ns: argparse.Namespace) -> None:
         elif key == "instances":
             for inst in value:
                 status = "ok" if inst["ok"] else "MISMATCH"
+                times = "".join(f" {k}={v}" for k, v in inst.items() if k.endswith("_s"))
                 print(f"    #{inst['index']:<4} order={inst['order']:<3} "
-                      f"formula={inst['formula']} oracle={inst['oracle']} {status}")
+                      f"formula={inst['formula']} oracle={inst['oracle']} {status}{times}")
         elif isinstance(value, (list, tuple)):
             print(f"{key:16} {' '.join(str(x) for x in value)}")
         else:
@@ -208,15 +209,23 @@ def cmd_compute(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _timings(report: VerifyReport) -> dict:
+    return {
+        "formula_s": round(report.elapsed_formula, 6),
+        "oracle_s": round(report.elapsed_oracle, 6),
+    }
+
+
 def cmd_compose(ns: argparse.Namespace) -> int:
     rule = RULES[ns.theorem]
     target = rule.load(_load_json(ns.input))
-    try:
-        res = rule.apply(target, ns.oracle_cap, ns.relaxed_cor3)
-    except PreconditionFailed as exc:
-        _emit(_failure_payload(exc), ns)
-        return EXIT_PRECONDITION
-    _emit(_theorem_payload(res), ns)
+    started = time.perf_counter()
+    res = rule.apply(target, ns.oracle_cap, ns.relaxed_cor3)
+    elapsed = time.perf_counter() - started
+    payload = _theorem_payload(res)
+    if ns.timings:
+        payload["timings"] = {"rule_s": round(elapsed, 6)}
+    _emit(payload, ns)
     return EXIT_OK
 
 
@@ -226,12 +235,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if ns.input is None:
         raise InputFormatError("verify needs --input or --count")
     target = RULES[ns.theorem].load(_load_json(ns.input))
-    try:
-        report = verify(target, ns.theorem, oracle_cap=ns.oracle_cap,
-                        relaxed_cor3=ns.relaxed_cor3)
-    except PreconditionFailed as exc:
-        _emit(_failure_payload(exc), ns)
-        return EXIT_PRECONDITION
+    report = verify(target, ns.theorem, oracle_cap=ns.oracle_cap,
+                    relaxed_cor3=ns.relaxed_cor3)
     payload = {
         "theorem": report.theorem,
         "formula": report.formula_value,
@@ -244,10 +249,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if report.witness_valid is not None:
         payload["witness_valid"] = report.witness_valid
     if ns.timings:
-        payload["timings"] = {
-            "formula_s": round(report.elapsed_formula, 6),
-            "oracle_s": round(report.elapsed_oracle, 6),
-        }
+        payload["timings"] = _timings(report)
     _emit(payload, ns)
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -269,15 +271,16 @@ def _verify_batch(ns: argparse.Namespace) -> int:
         report = verify(dec, theorem, oracle_cap=cap, relaxed_cor3=ns.relaxed_cor3)
         if not report.ok:
             failures += 1
-        instances.append(
-            {
-                "index": idx,
-                "order": report.composite_order,
-                "formula": report.formula_value,
-                "oracle": report.oracle_value,
-                "ok": report.ok,
-            }
-        )
+        instance = {
+            "index": idx,
+            "order": report.composite_order,
+            "formula": report.formula_value,
+            "oracle": report.oracle_value,
+            "ok": report.ok,
+        }
+        if ns.timings:
+            instance.update(_timings(report))
+        instances.append(instance)
     payload = {
         "theorem": theorem,
         "seed": ns.seed,
@@ -322,8 +325,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OrderCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except PreconditionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except PreconditionFailed as exc:  # a rule's hypothesis: report which failed
+        _emit(_failure_payload(exc), ns)
         return EXIT_PRECONDITION
     except (FtmdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

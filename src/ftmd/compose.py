@@ -27,14 +27,7 @@ from .attach import (
 from .errors import IllegalParameter, InputFormatError, PreconditionFailed
 from .families import complete_graph, cycle_graph, path_graph, paw_graph, star_graph
 from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_int, is_path_graph
-from .resolve import (
-    _as_mask,
-    _ft_resolves,
-    fdim,
-    fdim_plus,
-    in_some_ft_basis,
-    theta,
-)
+from .resolve import fdim, fdim_plus, in_some_ft_basis, is_ft_resolving, theta
 
 
 @dataclass(frozen=True)
@@ -116,9 +109,7 @@ def theorem2_fdim(dec: Decomposition, cap: int | None = None) -> TheoremResult:
         ids = dec.global_ids[i]
         witness.extend(ids[v] for v in report.witness)
     witness_t = tuple(sorted(witness))
-    valid = len(witness_t) >= 2 and _ft_resolves(
-        dec.composite.dist.distinguisher_masks, _as_mask(witness_t)
-    )
+    valid = len(witness_t) >= 2 and is_ft_resolving(dec.composite.dist, witness_t)
     return TheoremResult(
         theorem="thm2",
         value=sum(components),
@@ -201,6 +192,12 @@ class RootedProductSpec:
                 f"family has {len(self.family)} pieces for a base of order {self.base.n}"
             )
 
+    @functools.cached_property
+    def decomposition(self) -> Decomposition:
+        """The rooted product, built on first use; the rules and ``verify``
+        all read this one composite."""
+        return rooted_product(self)
+
 
 def uniform_rooted_spec(base: Graph, piece: Graph, root: int) -> RootedProductSpec:
     """One isomorphic copy of (piece, root) per base vertex."""
@@ -240,9 +237,18 @@ def cor5_fdim(spec: RootedProductSpec, cap: int | None = None) -> TheoremResult:
     return TheoremResult("cor5", sum(components), checks, components=components)
 
 
-def prop7_fdim(g: Graph, h: Graph, v: int, cap: int | None = None) -> TheoremResult:
+def _uniform_of(spec: RootedProductSpec) -> RootedPiece:
+    first = spec.family[0]
+    if any(rp != first for rp in spec.family):
+        raise IllegalParameter("this rule needs one isomorphic rooted piece per base vertex")
+    return first
+
+
+def prop7_fdim(spec: RootedProductSpec, cap: int | None = None) -> TheoremResult:
     """Uniform rooted product with a non-path piece: n copies each pay
     fdim(h), minus one each when the root can serve in some basis."""
+    rp = _uniform_of(spec)
+    h, v = rp.graph, rp.root
     checks = _require(
         "prop7",
         [
@@ -258,9 +264,9 @@ def prop7_fdim(g: Graph, h: Graph, v: int, cap: int | None = None) -> TheoremRes
         detail = "case (i): root lies in no fault-tolerant basis"
     return TheoremResult(
         "prop7",
-        g.n * per_copy,
+        spec.base.n * per_copy,
         checks,
-        components=tuple(per_copy for _ in range(g.n)),
+        components=tuple(per_copy for _ in range(spec.base.n)),
         detail=detail,
     )
 
@@ -283,32 +289,45 @@ def cor8_check(g: Graph, h: Graph, v: int, cap: int | None = None) -> bool:
     return (oracle == 2 * g.n) == path_with_inner_root
 
 
-def prop9_bounds(
-    g: Graph, path_len: int, leaf_root: bool = True, cap: int | None = None
-) -> TheoremResult:
+def _prop9_checks(m: int, root_is_leaf: bool, g: Graph) -> list[tuple[str, bool]]:
+    return [
+        ("path is non-trivial (m >= 2)", m >= 2),
+        ("root is a leaf of the path", root_is_leaf),
+        ("base order >= 2", g.n >= 2),
+    ]
+
+
+def prop9_fdim(spec: RootedProductSpec, cap: int | None = None) -> TheoremResult:
     """Leaf-rooted path product: the dimension stays between fdim(g) and n,
-    with the far-leaf layer V(G) x {v'} as an explicit checked witness."""
-    checks = _require(
-        "prop9",
-        [
-            ("path is non-trivial (m >= 2)", path_len >= 2),
-            ("root is a leaf of the path", bool(leaf_root)),
-            ("base order >= 2", g.n >= 2),
-        ],
-    )
-    dec = rooted_product(uniform_rooted_spec(g, path_graph(path_len), 0))
-    far = path_len - 1
-    witness = tuple(sorted(dec.global_of(i + 1, far) for i in range(g.n)))
-    valid = _ft_resolves(dec.composite.dist.distinguisher_masks, _as_mask(witness))
-    lower, upper = fdim(g, cap=cap).value, g.n
+    with the far-leaf layer V(G) x {v'} of the spec's own composite as an
+    explicit checked witness; v' is the leaf of the path that is not the
+    root."""
+    rp = _uniform_of(spec)
+    leaves = is_path_graph(rp.graph)
+    if leaves is None:
+        raise IllegalParameter("prop9 needs path pieces")
+    checks = _require("prop9", _prop9_checks(rp.graph.n, rp.root in leaves, spec.base))
+    far = leaves[0] if rp.root == leaves[1] else leaves[1]
+    dec = spec.decomposition
+    # piece 0 is the base, piece v + 1 the path rooted at base vertex v
+    witness = tuple(sorted(ids[far] for ids in dec.global_ids[1:]))
+    lower, upper = fdim(spec.base, cap=cap).value, spec.base.n
     return TheoremResult(
         "prop9",
         value=lower if lower == upper else None,
         preconditions=checks,
         witness=witness,
-        witness_valid=valid,
+        witness_valid=is_ft_resolving(dec.composite.dist, witness),
         bounds=(lower, upper),
     )
+
+
+def prop9_bounds(g: Graph, path_len: int, cap: int | None = None) -> TheoremResult:
+    """``prop9_fdim`` on the canonical spec: one path_graph(path_len) rooted
+    at its leaf 0 per vertex of g."""
+    if path_len < 2:  # no path to build: fail the hypothesis instead
+        _require("prop9", _prop9_checks(path_len, True, g))
+    return prop9_fdim(uniform_rooted_spec(g, path_graph(path_len), 0), cap=cap)
 
 
 # --- rooted-product JSON format -----------------------------------------------
@@ -379,26 +398,6 @@ def _prop1(dec: Decomposition, cap: int | None, _relaxed: bool) -> TheoremResult
     return TheoremResult("prop1", lower, (), bounds=(lower, dec.composite.n))
 
 
-def _uniform_of(spec: RootedProductSpec) -> RootedPiece:
-    first = spec.family[0]
-    if any(rp != first for rp in spec.family):
-        raise IllegalParameter("this rule needs one isomorphic rooted piece per base vertex")
-    return first
-
-
-def _prop7(spec: RootedProductSpec, cap: int | None, _relaxed: bool) -> TheoremResult:
-    rp = _uniform_of(spec)
-    return prop7_fdim(spec.base, rp.graph, rp.root, cap=cap)
-
-
-def _prop9(spec: RootedProductSpec, cap: int | None, _relaxed: bool) -> TheoremResult:
-    rp = _uniform_of(spec)
-    leaves = is_path_graph(rp.graph)
-    if leaves is None:
-        raise IllegalParameter("prop9 needs path pieces")
-    return prop9_bounds(spec.base, rp.graph.n, leaf_root=rp.root in leaves, cap=cap)
-
-
 _ON_DECOMPOSITIONS = (Decomposition, decomposition_from_json)
 _ON_ROOTED_SPECS = (RootedProductSpec, rooted_spec_from_json)
 
@@ -411,8 +410,8 @@ RULES: dict[str, Rule] = {
                  batch=("cor3", 16)),
     "blocks": Rule(*_ON_DECOMPOSITIONS, lambda dec, cap, _: block_graph_fdim(dec)),
     "cor5": Rule(*_ON_ROOTED_SPECS, lambda spec, cap, _: cor5_fdim(spec, cap=cap)),
-    "prop7": Rule(*_ON_ROOTED_SPECS, _prop7),
-    "prop9": Rule(*_ON_ROOTED_SPECS, _prop9),
+    "prop7": Rule(*_ON_ROOTED_SPECS, lambda spec, cap, _: prop7_fdim(spec, cap=cap)),
+    "prop9": Rule(*_ON_ROOTED_SPECS, lambda spec, cap, _: prop9_fdim(spec, cap=cap)),
 }
 
 
@@ -453,7 +452,7 @@ def verify(
     if not isinstance(target, rule.kind):
         noun = "a decomposition" if rule.kind is Decomposition else "a rooted-product spec"
         raise IllegalParameter(f"{theorem} verifies {noun}")
-    dec = target if rule.kind is Decomposition else rooted_product(target)
+    dec = target if rule.kind is Decomposition else target.decomposition
     composite = dec.composite
 
     t0 = time.perf_counter()

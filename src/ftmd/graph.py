@@ -44,9 +44,6 @@ class DistanceMatrix:
     def d(self, u: int, w: int) -> int:
         return self.rows[u][w]
 
-    def __getitem__(self, u: int) -> tuple[int, ...]:
-        return self.rows[u]
-
     @cached_property
     def eccentricities(self) -> tuple[int, ...]:
         return tuple(max(row) for row in self.rows)

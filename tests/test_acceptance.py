@@ -202,7 +202,7 @@ def test_criterion_6_rooted_products():
 
     for g in (path_graph(2), path_graph(3), cycle_graph(4)):
         for h, root in ((star_graph(3), 0), (complete_graph(4), 0), (cycle_graph(5), 0)):
-            value = prop7_fdim(g, h, root).value
+            value = prop7_fdim(uniform_rooted_spec(g, h, root)).value
             oracle = fdim(rooted_product(uniform_rooted_spec(g, h, root)).composite,
                           cap=20).value
             if value != oracle:

@@ -31,6 +31,15 @@ def run(capsys, *argv):
     return code, out
 
 
+# P2 with one path 0-1-2 per base vertex, rooted at the leaf 2: the
+# composite is the path 2-3-0-1-5-4, whose far-leaf layer is {2, 4}
+P2_P3_ROOTED_AT_2 = {
+    "base": {"n": 2, "edges": [[0, 1]]},
+    "family": {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "root": 2,
+               "copies": "per-base-vertex"},
+}
+
+
 class TestCompute:
     def test_fdim_cycle(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(8))
@@ -293,6 +302,22 @@ class TestCompose:
         code, _ = run(capsys, "compose", "--input", path, "--theorem", "thm2")
         assert code == 1
 
+    def test_prop9_witness_in_the_specs_labelling(self, tmp_path, capsys):
+        path = write_json(tmp_path, P2_P3_ROOTED_AT_2)
+        code, out = run(capsys, "compose", "--input", path, "--theorem", "prop9",
+                        "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["witness"] == [2, 4] and payload["witness_valid"] is True
+
+    def test_prop9_interior_root_exit_code(self, tmp_path, capsys):
+        spec = uniform_rooted_spec(cycle_graph(4), path_graph(3), 1)
+        path = write_json(tmp_path, rooted_spec_to_json(spec))
+        code, out = run(capsys, "compose", "--input", path, "--theorem", "prop9",
+                        "--output", "json")
+        assert code == 3
+        assert json.loads(out)["failed"] == ["root is a leaf of the path"]
+
 
 class TestVerify:
     def test_figure2(self, tmp_path, capsys):
@@ -425,6 +450,44 @@ def test_compose_verify_and_registry_agree(theorem, tmp_path, capsys):
     report = verify(target, theorem, oracle_cap=cap, relaxed_cor3=relaxed)
     assert (report.formula_value, report.bounds) == (res.value, res.bounds)
     assert report.ok
+
+
+class TestTimings:
+    def test_compute(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle_graph(8))
+        code, out = run(capsys, "compute", "--input", path, "--invariant", "fdim",
+                        "--timings", "--output", "json")
+        assert code == 0
+        assert set(json.loads(out)["timings"]) == {"compute_s"}
+
+    def test_compose(self, tmp_path, capsys):
+        path = write_json(tmp_path, P2_P3_ROOTED_AT_2)
+        code, out = run(capsys, "compose", "--input", path, "--theorem", "prop9",
+                        "--timings", "--output", "json")
+        assert code == 0
+        assert set(json.loads(out)["timings"]) == {"rule_s"}
+
+    def test_verify(self, tmp_path, capsys):
+        path = write_json(tmp_path, P2_P3_ROOTED_AT_2)
+        code, out = run(capsys, "verify", "--input", path, "--theorem", "prop9",
+                        "--timings", "--output", "json")
+        assert code == 0
+        assert set(json.loads(out)["timings"]) == {"formula_s", "oracle_s"}
+
+    def test_verify_batch(self, capsys):
+        argv = ["verify", "--theorem", "thm2", "--count", "3", "--timings"]
+        code, out = run(capsys, *argv, "--output", "json")
+        assert code == 0
+        for inst in json.loads(out)["instances"]:
+            assert inst["formula_s"] >= 0 and inst["oracle_s"] >= 0
+        code, out = run(capsys, *argv)
+        lines = [line for line in out.splitlines() if line.lstrip().startswith("#")]
+        assert len(lines) == 3
+        assert all(" ok formula_s=" in line and " oracle_s=" in line for line in lines)
+        # without the flag the instances keep their five fields
+        code, out = run(capsys, *argv[:-1], "--output", "json")
+        assert all(set(inst) == {"index", "order", "formula", "oracle", "ok"}
+                   for inst in json.loads(out)["instances"])
 
 
 class TestGenerate:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import bruteforce as bf
+from conftest import atlas_connected
 from ftmd import (
     IllegalParameter,
     PreconditionFailed,
@@ -30,6 +31,7 @@ from ftmd import (
     prop1_lower_bound,
     prop7_fdim,
     prop9_bounds,
+    prop9_fdim,
     random_decomposition,
     rooted_product,
     rooted_spec_from_json,
@@ -310,18 +312,18 @@ class TestCor5:
 
 class TestProp7:
     def test_star_root_in_no_basis(self):
-        res = prop7_fdim(path_graph(2), star_graph(3), 0)
+        res = prop7_fdim(uniform_rooted_spec(path_graph(2), star_graph(3), 0))
         assert res.value == 6
         assert "case (i)" in res.detail
 
     def test_clique_root_in_some_basis(self):
-        res = prop7_fdim(path_graph(3), complete_graph(4), 0)
+        res = prop7_fdim(uniform_rooted_spec(path_graph(3), complete_graph(4), 0))
         assert res.value == 9
         assert "case (ii)" in res.detail
 
     def test_path_piece_rejected(self):
         with pytest.raises(PreconditionFailed) as err:
-            prop7_fdim(path_graph(3), path_graph(5), 2)
+            prop7_fdim(uniform_rooted_spec(path_graph(3), path_graph(5), 2))
         assert "H is not a path" in err.value.failed
 
     def test_matches_oracle(self):
@@ -332,7 +334,7 @@ class TestProp7:
         ]
         for g, h, v in cases:
             composite = rooted_product(uniform_rooted_spec(g, h, v)).composite
-            assert prop7_fdim(g, h, v).value == fdim(composite).value
+            assert prop7_fdim(uniform_rooted_spec(g, h, v)).value == fdim(composite).value
 
 
 class TestCor8:
@@ -372,13 +374,32 @@ class TestProp9:
         ).composite
         assert fdim(composite).value == 4
 
-    def test_non_leaf_root_rejected(self):
-        with pytest.raises(PreconditionFailed):
-            prop9_bounds(cycle_graph(4), 3, leaf_root=False)
+    def test_interior_root_rejected(self):
+        spec = uniform_rooted_spec(cycle_graph(4), path_graph(3), 1)
+        with pytest.raises(PreconditionFailed) as err:
+            prop9_fdim(spec)
+        assert err.value.failed == ("root is a leaf of the path",)
 
     def test_trivial_path_rejected(self):
-        with pytest.raises(PreconditionFailed):
+        with pytest.raises(PreconditionFailed) as err:
             prop9_bounds(cycle_graph(4), 1)
+        assert err.value.failed == ("path is non-trivial (m >= 2)",)
+
+    def test_far_leaf_layer_over_atlas(self):
+        # every connected base of order 2-5, m = 2, 3, 4, both leaf roots
+        specs = [uniform_rooted_spec(base, path_graph(m), root)
+                 for base in atlas_connected(2, 5) for m in (2, 3, 4) for root in (0, m - 1)]
+        assert len(specs) == 180
+        for spec in specs:
+            root, m = spec.family[0].root, spec.family[0].graph.n
+            far = m - 1 - root
+            dec = rooted_product(spec)
+            layer = tuple(sorted(dec.global_ids[v + 1][far] for v in range(spec.base.n)))
+            res = prop9_fdim(spec)
+            assert res.witness == layer
+            comp = dec.composite
+            assert res.witness_valid
+            assert bf.ft_resolves(bf.nx_distances(comp.n, comp.edges), comp.n, list(layer))
 
 
 class TestVerify:
@@ -418,6 +439,25 @@ class TestVerify:
         spec = uniform_rooted_spec(cycle_graph(4), complete_graph(3), 0)
         with pytest.raises(IllegalParameter, match="prop9 needs path pieces"):
             verify(spec, "prop9")
+
+    @pytest.mark.parametrize("theorem, spec", [
+        ("cor5", lambda: uniform_rooted_spec(path_graph(3), cycle_graph(5), 0)),
+        ("prop7", lambda: uniform_rooted_spec(path_graph(3), complete_graph(4), 0)),
+        ("prop9", lambda: uniform_rooted_spec(cycle_graph(4), path_graph(3), 2)),
+    ])
+    def test_one_composite_per_spec(self, monkeypatch, theorem, spec):
+        import ftmd.compose as compose_mod
+
+        built = []
+        real = compose_mod.rooted_product
+
+        def counting(s):
+            built.append(s)
+            return real(s)
+
+        monkeypatch.setattr(compose_mod, "rooted_product", counting)
+        assert verify(spec(), theorem, oracle_cap=16).ok
+        assert len(built) == 1
 
 
 class TestRandomDecompositions:
@@ -529,7 +569,7 @@ class TestDocumentedDiscrepancies:
     def test_cor5_and_prop7_on_p2_products(self, piece, root, formula, search):
         spec = uniform_rooted_spec(path_graph(2), piece, root)
         assert cor5_fdim(spec).value == formula
-        assert prop7_fdim(path_graph(2), piece, root).value == formula
+        assert prop7_fdim(uniform_rooted_spec(path_graph(2), piece, root)).value == formula
         comp = rooted_product(spec).composite
         assert fdim(comp).value == bf.fdim(comp.n, comp.edges) == search
         for theorem in ("cor5", "prop7"):
