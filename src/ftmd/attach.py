@@ -19,6 +19,7 @@ something first reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .cover import Cover, vertices
@@ -43,7 +44,7 @@ from .resolve import (
     FtReport,
     _as_mask,
     _check_cap,
-    _ft_resolves,
+    _meets,
     _validated,
 )
 
@@ -144,7 +145,7 @@ def is_attaching_ft_resolving(g: Graph, at: Iterable[int], f: Iterable[int]) -> 
     # or with one anchor and a member of f, two landmarks are left after
     # any deletion from f; with one anchor and no member of f, the anchor
     # alone remains.  So exactly the masks no anchor meets need f twice.
-    return _ft_resolves(_missed(g, _as_mask(av)), _as_mask(fv))
+    return _meets(_missed(g, _as_mask(av)), _as_mask(fv), 2)
 
 
 def _missed(g: Graph, at_mask: int) -> list[int]:
@@ -231,10 +232,6 @@ def check_C1(g: Graph, at: Iterable[int]) -> bool:
     return c1_violation(g, at) is None
 
 
-def _pairs(av: tuple[int, ...]):
-    return ((u, v) for i, u in enumerate(av) for v in av[i + 1:])
-
-
 def c1_cases(g: Graph, at: Iterable[int]) -> tuple[int, ...]:
     """Which of the four structural sufficient conditions for C1 apply:
     (1) every vertex is an anchor, (2) independent anchors in a diameter-2
@@ -246,10 +243,10 @@ def c1_cases(g: Graph, at: Iterable[int]) -> tuple[int, ...]:
     if len(av) == g.n:
         cases.append(1)
     if len(av) >= 2:
-        if d.diameter == 2 and all(d.d(u, v) >= 2 for u, v in _pairs(av)):
+        if d.diameter == 2 and all(d.d(u, v) >= 2 for u, v in combinations(av, 2)):
             cases.append(2)
         ecc = d.eccentricities
-        if all(ecc[u] == ecc[v] == d.d(u, v) for u, v in _pairs(av)):
+        if all(ecc[u] == ecc[v] == d.d(u, v) for u, v in combinations(av, 2)):
             cases.append(3)
     if is_even_graph(d):
         anchored = set(av)

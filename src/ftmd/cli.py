@@ -15,10 +15,10 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from .attach import fdim_star
+from .attach import decomposition_to_json, fdim_star
 from .compose import RULES, TheoremResult, VerifyReport, decomposition_suite, verify
 from .errors import FtmdError, InputFormatError, OrderCapExceeded, PreconditionFailed
-from .families import FAMILY_NAMES, FamilySpec, generate
+from .families import FAMILY_NAMES, generate
 from .graph import Graph, format_edge_list, graph_from_json_dict, parse_edge_list
 from .resolve import FtReport, fdim, fdim_plus, metric_dimension, theta
 
@@ -150,6 +150,8 @@ def _emit(payload: dict, ns: argparse.Namespace) -> None:
                       f"formula={inst['formula']} oracle={inst['oracle']} {status}{times}")
         elif isinstance(value, (list, tuple)):
             print(f"{key:16} {' '.join(str(x) for x in value)}")
+        elif isinstance(value, dict):
+            print(f"{key:16} {' '.join(f'{k}={v}' for k, v in value.items())}")
         else:
             print(f"{key:16} {value}")
 
@@ -294,12 +296,10 @@ def _verify_batch(ns: argparse.Namespace) -> int:
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
-    made = generate(FamilySpec(ns.family, ns.size))
+    made = generate(ns.family, ns.size)
     if isinstance(made, Graph):
         sys.stdout.write(format_edge_list(made))
     else:
-        from .attach import decomposition_to_json
-
         print(json.dumps(decomposition_to_json(made), indent=2, sort_keys=True))
     return EXIT_OK
 

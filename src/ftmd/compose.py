@@ -506,7 +506,9 @@ def random_decomposition(
     draws anchor placements so the attachment conditions hold, and "cor3"
     additionally keeps only pieces with proper anchors and equal
     minimum/maximum minimal set sizes.  Both conditions need k >= 3, and
-    ``max_order`` must hold k of the smallest pool pieces.
+    ``max_order`` must hold k of the smallest pool pieces.  Piece budgets
+    reserve no room for later pieces, so near that order every draw can
+    dead-end; after ``_MAX_ATTEMPTS`` of them that raises ``IllegalParameter``.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     if condition not in (None, "thm2", "cor3"):
@@ -521,9 +523,8 @@ def random_decomposition(
         dec = _try_random_decomposition(rng, k, max_order, condition)
         if dec is not None:
             return dec
-    raise RuntimeError(
-        f"no admissible decomposition found in {_MAX_ATTEMPTS} attempts (k={k})"
-    )
+    raise IllegalParameter(f"no decomposition of k={k} pieces within max_order={max_order} "
+                           f"(condition {condition!r}) in {_MAX_ATTEMPTS} attempts")
 
 
 @functools.cache

@@ -225,8 +225,6 @@ class Cover:
         return known
 
     def _smallest_search(self, demand: int) -> tuple[int, int]:
-        if self.rows and self.rows[0].bit_count() < demand:
-            raise ValueError(f"some mask has fewer than {demand} allowed vertices")
         bound = 0  # greedy packing of pairwise disjoint rows
         cand = self.full
         while cand:
@@ -237,7 +235,7 @@ class Cover:
             witness = self.find(demand, k)
             if witness is not None:
                 return k, witness
-        raise AssertionError("unreachable: the whole universe meets every row")
+        raise AssertionError("unreachable: every row keeps both vertices of its pair")
 
     def _lex_first(self, demand: int, size: int, witness: int) -> int:
         """The lexicographically first cover of ``size`` vertices, given one

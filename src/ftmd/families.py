@@ -3,7 +3,6 @@ worked composite shared by the tests and the CLI."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .attach import Decomposition, point_attach
@@ -80,14 +79,6 @@ def figure2_decomposition() -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family tag plus its size parameter (None for the fixed graphs)."""
-
-    family: str
-    size: int | None = None
-
-
 _SIZED = {
     "path": path_graph,
     "cycle": cycle_graph,
@@ -105,14 +96,14 @@ _FIXED = {
 FAMILY_NAMES = tuple(sorted(_SIZED) + sorted(_FIXED))
 
 
-def generate(spec: FamilySpec) -> Graph | Decomposition:
-    """Build the canonical member of the requested family."""
-    if spec.family in _SIZED:
-        if spec.size is None:
-            raise IllegalParameter(f"family {spec.family!r} needs a size parameter")
-        return _SIZED[spec.family](spec.size)
-    if spec.family in _FIXED:
-        if spec.size is not None:
-            raise IllegalParameter(f"family {spec.family!r} takes no size parameter")
-        return _FIXED[spec.family]()
-    raise IllegalParameter(f"unknown family {spec.family!r}")
+def generate(family: str, size: int | None = None) -> Graph | Decomposition:
+    """Build the canonical member of a family; ``size`` is None for the fixed ones."""
+    if family in _SIZED:
+        if size is None:
+            raise IllegalParameter(f"family {family!r} needs a size parameter")
+        return _SIZED[family](size)
+    if family in _FIXED:
+        if size is not None:
+            raise IllegalParameter(f"family {family!r} takes no size parameter")
+        return _FIXED[family]()
+    raise IllegalParameter(f"unknown family {family!r}")

@@ -59,7 +59,8 @@ class DistanceMatrix:
         Bit w of the mask for pair (u, v) is set when d(w, u) != d(w, v).
         A landmark set resolves the graph iff it meets every mask, and it
         tolerates any single failure iff it meets every mask twice.  Masks
-        are sorted by population count so the scarcest pairs fail fastest.
+        are sorted by population count: the scarcest pairs fail fastest, and
+        the two-vertex masks, exactly the twin pairs, come first.
         """
         masks = []
         rows = self.rows
@@ -181,30 +182,21 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
 
     Two vertices are twins when every third vertex sits at the same
     distance from both, so nothing except the pair itself can tell them
-    apart.  Non-twin vertices come back as singleton classes.
+    apart: their distinguisher mask holds just the two of them.  Twinness
+    is an equivalence relation (Hernando, Mora, Pelayo, Seara & Wood 2010),
+    so a vertex's smallest twin names its class.  Non-twin vertices come
+    back as singleton classes, and classes are ordered by smallest member.
     """
-    rows = g.dist.rows
-    n = g.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u in range(n):
-        row_u = rows[u]
-        for v in range(u + 1, n):
-            row_v = rows[v]
-            if all(row_u[w] == row_v[w] for w in range(n) if w != u and w != v):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
+    first = list(range(g.n))
+    for m in g.dist.distinguisher_masks:
+        if m.bit_count() > 2:
+            break  # masks are sorted by size, so no twin pairs follow
+        v = m.bit_length() - 1
+        first[v] = min(first[v], (m & -m).bit_length() - 1)
     groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(c)) for c in sorted(groups.values()))
+    for v, r in enumerate(first):
+        groups.setdefault(r, []).append(v)
+    return tuple(tuple(c) for c in groups.values())
 
 
 def is_vertex_transitive(g: Graph, cap: int | None = None) -> bool:
@@ -218,11 +210,8 @@ def is_vertex_transitive(g: Graph, cap: int | None = None) -> bool:
     limit = VERTEX_TRANSITIVITY_CAP if cap is None else cap
     if g.n > limit:
         raise OrderCapExceeded(f"vertex-transitivity check capped at order {limit}, got {g.n}")
-    rows = g.dist.rows
-    profiles = [tuple(sorted(rows[v])) for v in range(g.n)]
-    if len(set(profiles)) > 1 or len(set(g.degrees)) > 1:
-        return False
-    return all(_automorphism_moving(g, 0, t) for t in range(1, g.n))
+    profiles = {tuple(sorted(row)) for row in g.dist.rows}
+    return len(profiles) == 1 and all(_automorphism_moving(g, 0, t) for t in range(1, g.n))
 
 
 def _automorphism_moving(g: Graph, src: int, dst: int) -> bool:

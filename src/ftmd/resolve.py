@@ -59,16 +59,10 @@ def _check_cap(n: int, cap: int | None, default: int | None, what: str) -> None:
         raise OrderCapExceeded(f"{what} capped at order {limit}, got {n}")
 
 
-def _resolves(masks: tuple[int, ...], s: int) -> bool:
+def _meets(masks: Iterable[int], s: int, times: int) -> bool:
+    """True when the vertex set s meets every mask at least ``times`` times."""
     for m in masks:
-        if not m & s:
-            return False
-    return True
-
-
-def _ft_resolves(masks: tuple[int, ...], s: int) -> bool:
-    for m in masks:
-        if (m & s).bit_count() < 2:
+        if (m & s).bit_count() < times:
             return False
     return True
 
@@ -78,7 +72,7 @@ def is_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
     sv = _validated(d.n, s)
     if not sv:
         raise InvalidVertexSet("a resolving set must be non-empty")
-    return _resolves(d.distinguisher_masks, _as_mask(sv))
+    return _meets(d.distinguisher_masks, _as_mask(sv), 1)
 
 
 def is_ft_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
@@ -86,7 +80,7 @@ def is_ft_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
     sv = _validated(d.n, s)
     if len(sv) < 2:
         raise InvalidVertexSet("a fault-tolerant resolving set needs at least 2 vertices")
-    return _ft_resolves(d.distinguisher_masks, _as_mask(sv))
+    return _meets(d.distinguisher_masks, _as_mask(sv), 2)
 
 
 def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
@@ -161,7 +155,7 @@ def theta(g: Graph, at: Iterable[int], cap: int | None = None) -> int:
     _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "anchor-overlap scan")
     av = _validated(g.n, at)
     value, _ = g.dist.cover.smallest(2)
-    if av and _resolves(g.dist.distinguisher_masks, _as_mask(av)):
+    if av and _meets(g.dist.distinguisher_masks, _as_mask(av), 1):
         return value
     cover = g.dist.cover
     best = 0

@@ -133,6 +133,20 @@ def theta_from_bases(dist, n, bases, at):
     return max(len(set(b) & set(at)) for b in bases)
 
 
+def twin_classes(n, edges):
+    """Classes of mutual twins, ordered by smallest member: u and v are
+    twins when every third vertex is at the same distance from both.  Each
+    vertex's class is read off the pair relation directly, so the classes
+    partition the vertices only because twinness is transitive."""
+    dist = nx_distances(n, edges)
+
+    def twins(u, v):
+        return all(dist[u][z] == dist[v][z] for z in range(n) if z not in (u, v))
+
+    return tuple(sorted({tuple(u for u in range(n) if u == v or twins(u, v))
+                         for v in range(n)}))
+
+
 def automorphisms(n, edges):
     """All adjacency-preserving permutations, by pruned backtracking."""
     adjacency = [set() for _ in range(n)]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -473,6 +474,23 @@ class TestTimings:
                         "--timings", "--output", "json")
         assert code == 0
         assert set(json.loads(out)["timings"]) == {"formula_s", "oracle_s"}
+
+    @pytest.mark.parametrize("command, names", [
+        ("compute", ["compute_s"]),
+        ("compose", ["rule_s"]),
+        ("verify", ["formula_s", "oracle_s"]),
+    ])
+    def test_human_line_is_key_value_pairs(self, tmp_path, capsys, command, names):
+        if command == "compute":
+            argv = ["--input", write_graph(tmp_path, cycle_graph(8)), "--invariant", "fdim"]
+        else:
+            argv = ["--input", write_json(tmp_path, P2_P3_ROOTED_AT_2), "--theorem", "prop9"]
+        code, out = run(capsys, command, *argv, "--timings")
+        assert code == 0
+        [line] = [line for line in out.splitlines() if line.startswith("timings")]
+        # the same name=value form as the batch instance lines, no dict repr
+        assert re.fullmatch(r"timings +" + " ".join(rf"{n}=\S+" for n in names), line)
+        assert "{" not in line
 
     def test_verify_batch(self, capsys):
         argv = ["verify", "--theorem", "thm2", "--count", "3", "--timings"]

@@ -23,6 +23,7 @@ from ftmd import (
     decomposition_suite,
     decomposition_to_json,
     fdim,
+    fdim_star,
     figure2_decomposition,
     is_path_graph,
     path_graph,
@@ -540,6 +541,12 @@ class TestRandomDecompositions:
         with pytest.raises(IllegalParameter):
             random_decomposition(0, 3, 16, condition="weird")
 
+    def test_exhausted_attempts_raise_illegal_parameter(self):
+        # 11 is the least order of five pool pieces, but each piece's budget
+        # leaves no room for the pieces still to come: seed 0 dead-ends 500 times
+        with pytest.raises(IllegalParameter, match="k=5 pieces within max_order=11"):
+            random_decomposition(0, 5, 11)
+
 
 class TestDocumentedDiscrepancies:
     """[documented discrepancy] Inputs on which a shipped rule disagrees with
@@ -574,3 +581,36 @@ class TestDocumentedDiscrepancies:
         assert fdim(comp).value == bf.fdim(comp.n, comp.edges) == search
         for theorem in ("cor5", "prop7"):
             assert verify(spec, theorem).ok is (formula == search)
+
+
+class TestPerPieceCharacterisation:
+    """The rules the search refutes fail exactly where their per-piece term
+    differs from the anchored dimension ``fdim_star(piece, anchors)``, the
+    term that ``thm2`` uses.  No rule's value is changed here."""
+
+    def test_cor5_and_prop7_over_atlas_on_p2(self):
+        specs = [uniform_rooted_spec(path_graph(2), h, r)
+                 for h in atlas_connected(3, 6) if is_path_graph(h) is None
+                 for r in range(h.n)]
+        mismatches = 0
+        for spec in specs:
+            rp = spec.family[0]
+            star = fdim_star(rp.graph, (rp.root,)).value
+            search = fdim(spec.decomposition.composite).value
+            assert search == 2 * star
+            res = cor5_fdim(spec)
+            assert prop7_fdim(spec).components == res.components
+            # fdim(H) - [root lies in some basis]
+            term = res.components[0]
+            assert (res.value == search) is (term == star)
+            mismatches += res.value != search
+        assert (len(specs), mismatches) == (789, 277)
+
+    def test_strict_cor3_over_seeded_suites(self):
+        for seed in range(3):
+            for dec in decomposition_suite(seed, 200, (3, 4, 5), 16, "cor3"):
+                # fdim(piece) - theta(piece, anchors), one per piece
+                terms = corollary3_fdim(dec).components
+                stars = tuple(fdim_star(p, dec.at_local(i)).value
+                              for i, p in enumerate(dec.pieces))
+                assert verify(dec, "cor3").ok is (terms == stars)

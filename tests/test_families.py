@@ -4,7 +4,6 @@ import pytest
 
 from ftmd import (
     Decomposition,
-    FamilySpec,
     IllegalParameter,
     bowtie_graph,
     cycle_graph,
@@ -22,18 +21,18 @@ from ftmd import (
 
 class TestGenerators:
     def test_cycle_antipode(self):
-        g = generate(FamilySpec("cycle", 8))
+        g = generate("cycle", 8)
         assert g.dist.d(0, 4) == 4
 
     def test_hypercube(self):
-        g = generate(FamilySpec("hypercube", 3))
+        g = generate("hypercube", 3)
         assert g.n == 8
         assert len(g.edges) == 12
         assert g.dist.diameter == 3
 
     def test_paths_are_paths(self):
         for n in range(2, 9):
-            assert is_path_graph(generate(FamilySpec("path", n))) == (0, n - 1)
+            assert is_path_graph(generate("path", n)) == (0, n - 1)
 
     def test_star_center_zero(self):
         g = star_graph(4)
@@ -59,18 +58,18 @@ class TestGenerators:
         for family, size in [("path", 1), ("cycle", 2), ("star", 0),
                              ("hypercube", 0), ("complete", 1)]:
             with pytest.raises(IllegalParameter):
-                generate(FamilySpec(family, size))
+                generate(family, size)
         with pytest.raises(IllegalParameter):
-            generate(FamilySpec("paw", 4))
+            generate("paw", 4)
         with pytest.raises(IllegalParameter):
-            generate(FamilySpec("cycle"))
+            generate("cycle")
         with pytest.raises(IllegalParameter):
-            generate(FamilySpec("unknown", 3))
+            generate("unknown", 3)
 
 
 class TestFigure2:
     def test_is_a_five_piece_twenty_vertex_decomposition(self):
-        dec = generate(FamilySpec("figure2"))
+        dec = generate("figure2")
         assert isinstance(dec, Decomposition)
         assert dec.k == 5
         assert dec.composite.n == 20

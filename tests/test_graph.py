@@ -204,6 +204,10 @@ class TestTwinClasses:
                         if z not in (u, v):
                             assert d.d(u, z) == d.d(v, z)
 
+    def test_matches_reference_over_atlas(self, atlas_upto_7):
+        for g in atlas_upto_7:
+            assert twin_classes(g) == bf.twin_classes(g.n, g.edges)
+
 
 @given(connected_graphs(max_n=9))
 @settings(max_examples=60, deadline=None)
