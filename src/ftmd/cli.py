@@ -128,7 +128,7 @@ def _load_graph(ns: argparse.Namespace) -> Graph:
 def _load_json(path: str):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
         raise InputFormatError(f"{path}: bad JSON: {exc}") from exc
 
 

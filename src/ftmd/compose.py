@@ -536,6 +536,14 @@ def _admissible_anchors(name: str, need: int) -> tuple[tuple[int, ...], ...]:
     return tuple(s for s in combinations(range(g.n), need) if check(g, s))
 
 
+@functools.cache
+def _minimal_sizes_agree(name: str) -> bool:
+    """Whether pool piece ``name`` has equal minimum and maximum minimal
+    fault-tolerant set sizes, the piece condition of strict ``cor3``."""
+    g = _POOL[name]
+    return fdim(g).value == fdim_plus(g).value
+
+
 def _try_random_decomposition(
     rng: random.Random, k: int, max_order: int, condition: str | None
 ) -> Decomposition | None:
@@ -592,7 +600,7 @@ def _try_random_decomposition(
     # draws whichever piece it rejects.
     if condition == "cor3":
         for i, piece in enumerate(pieces):
-            if need[i] == piece.n or fdim(piece).value != fdim_plus(piece).value:
+            if need[i] == piece.n or not _minimal_sizes_agree(names[i]):
                 return None
 
     def resolve_name(i: int, local: int) -> str:

@@ -5,11 +5,8 @@ once, and it tolerates the loss of any one landmark when it meets every
 mask twice: metric dimension and its fault-tolerant variants are hitting
 set and 2-fold multicover problems over the same masks (Khuller,
 Raghavachari & Rosenfeld 1996; Hernando, Mora, Slater & Wood 2008).  Every
-exact search in the package runs on one ``Cover``.
-
-Reduction.  Masks are restricted to the universe of allowed vertices and
-only the inclusion-minimal distinct ones are kept as *rows*: a set that
-meets a mask d times meets each of its supersets d times.
+exact search in the package runs on one ``Cover``, whose *rows* are the
+distinct masks restricted to the universe of allowed vertices.
 
 Search.  Rows are the bits of one integer, and each vertex keeps the set
 of rows that contain it, so every step of the search is a handful of
@@ -52,20 +49,15 @@ def vertices(mask: int) -> list[int]:
 
 
 class Cover:
-    """The reduced rows of a mask list over a universe of allowed vertices.
+    """The distinct masks of a mask list, restricted to a universe of
+    allowed vertices and sorted by size, as the rows of the searches.
 
     ``inc`` maps each vertex, as its one-bit mask, to the rows that contain
     it, as a bitmask over row indices.
     """
 
     def __init__(self, masks: Iterable[int], universe: int) -> None:
-        rows: list[int] = []
-        for m in sorted(dict.fromkeys(m & universe for m in masks), key=int.bit_count):
-            for kept in rows:
-                if not kept & ~m:
-                    break  # m holds a kept row
-            else:
-                rows.append(m)
+        rows = sorted(dict.fromkeys(m & universe for m in masks), key=int.bit_count)
         n = universe.bit_length()
         columns = [0] * n
         if rows:
@@ -77,6 +69,7 @@ class Cover:
         self.inc = {1 << v: column for v, column in enumerate(columns)}
         self.full = (1 << len(rows)) - 1
         self._smallest: dict[int, tuple[int, int]] = {}
+        self._minimum: dict[int, tuple[int, int]] = {}
 
     def _search(self, demand: int, budget: int, chosen: int, banned: int,
                 on_cover: Callable[[int], bool]) -> bool:
@@ -212,9 +205,13 @@ class Cover:
         return sorted(found, key=vertices)
 
     def minimum(self, demand: int) -> tuple[int, int]:
-        """Size of the smallest cover and its lexicographically first witness."""
-        size, witness = self.smallest(demand)
-        return size, self._lex_first(demand, size, witness)
+        """Size of the smallest cover and its lexicographically first
+        witness; remembered per demand."""
+        known = self._minimum.get(demand)
+        if known is None:
+            size, witness = self.smallest(demand)
+            known = self._minimum[demand] = size, self._lex_first(demand, size, witness)
+        return known
 
     def smallest(self, demand: int) -> tuple[int, int]:
         """Size of the smallest cover and some cover of that size, by raising

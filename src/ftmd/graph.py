@@ -79,15 +79,9 @@ class DistanceMatrix:
 
     @cached_property
     def cover(self) -> Cover:
-        """The distinguisher masks reduced to their minimal members, indexed
-        for the exact searches."""
+        """The distinct distinguisher masks, indexed for the exact searches,
+        which remember their results on it."""
         return Cover(self.distinguisher_masks, (1 << self.n) - 1)
-
-    @cached_property
-    def ft_minimum(self) -> tuple[int, int]:
-        """Fault-tolerant dimension and its lexicographically first witness
-        (as a vertex bitmask): the smallest set meeting every mask twice."""
-        return self.cover.minimum(2)
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ Each pair of vertices has a distinguisher mask, cached on the distance
 matrix: the vertices at different distances from the two.  A set resolves
 the graph iff it meets every mask, and it survives the loss of any single
 member iff it meets every mask twice.  Every search here is one of those
-multicover problems, solved by the kernel in ``ftmd.cover`` on the masks
-reduced to their minimal members: minimum covers by raising the size from
-a packing bound with include/exclude branching on the scarcest mask, basis
-enumeration and membership with the same branching at the minimum size,
-and the largest minimal cover by a vertex-order search.  Ties are always
-broken toward the lexicographically smallest witness so outputs are
-deterministic.  The minimum fault-tolerant set is cached on the distance
-matrix, so the searches that build on it solve it once per graph.
+multicover problems, solved by the kernel in ``ftmd.cover`` on the
+distinct masks: minimum covers by raising the size from a packing bound
+with include/exclude branching on the scarcest mask, basis enumeration and
+membership with the same branching at the minimum size, and the largest
+minimal cover by a vertex-order search.  Ties are always broken toward the
+lexicographically smallest witness so outputs are deterministic.  The
+kernel remembers its minimum covers per demand on the distance matrix, so
+the searches that build on them solve them once per graph.
 """
 
 from __future__ import annotations
@@ -87,11 +87,11 @@ def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
     """Minimum resolving set: the smallest set meeting every distinguisher
     mask once, lexicographically first.
 
-    The search runs on the masks with duplicates and supersets dropped.
-    It raises the size from a greedy packing bound (pairwise disjoint masks
-    each need their own landmark) and branches include/exclude on the
-    first unmet mask, a smallest one.  Then it fixes vertices in order to
-    recover the lexicographically first witness.  A twin pair's mask holds
+    The search runs on the distinct masks.  It raises the size from a
+    greedy packing bound (pairwise disjoint masks each need their own
+    landmark) and branches include/exclude on the first unmet mask, a
+    smallest one.  Then it fixes vertices in order to recover the
+    lexicographically first witness.  A twin pair's mask holds
     just the pair, so it is among the smallest and is branched on first; no
     separate twin-class rule is needed.  It runs uncapped unless ``cap`` is given.
     """
@@ -105,12 +105,12 @@ def fdim(g: Graph, cap: int | None = None) -> FtReport:
 
     The same search as ``metric_dimension`` with every mask needing two
     hits.  A mask with exactly two vertices (a twin pair) has no slack, so
-    both twins are forced in before any branching.  The size is remembered
-    on the graph's reduced masks and the witness on its distance matrix,
-    so basis enumeration, membership and ``theta`` reuse them.
+    both twins are forced in before any branching.  The size and witness
+    are remembered per graph, and basis enumeration, membership and
+    ``theta`` reuse the size.
     """
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "fault-tolerant search")
-    value, witness = g.dist.ft_minimum
+    value, witness = g.dist.cover.minimum(2)
     return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 
@@ -130,7 +130,7 @@ def fdim_plus(g: Graph, cap: int | None = None) -> FtReport:
 
     A fault-tolerant set is minimal exactly when every member lies in some
     mask that the set meets exactly twice: dropping that member leaves the
-    mask met once.  The search decides vertices in order on the reduced
+    mask met once.  The search decides vertices in order on the distinct
     masks, include before exclude, and keeps the lexicographically first
     set of the largest size.  It prunes a branch once a member has lost
     every mask with at most two hits, skips vertices that lie in no mask

@@ -26,6 +26,17 @@ def write_json(tmp_path, payload, name="spec.json"):
     return str(path)
 
 
+def write_deep_json(tmp_path, depth=200_000):
+    """An array nested deeper than the JSON decoder's recursion allows."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    return str(path)
+
+
+def assert_one_error_line(err, fragment):
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -103,6 +114,12 @@ class TestCompute:
         bad.write_text("3 5\n0 1\n")
         code, _ = run(capsys, "compute", "--input", str(bad), "--invariant", "fdim")
         assert code == 1
+
+    def test_deeply_nested_json_is_bad_input(self, tmp_path, capsys):
+        path = write_deep_json(tmp_path)
+        assert main(["compute", "--input", path, "--format", "json",
+                     "--invariant", "fdim"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "bad JSON")
 
     def test_usage_error_is_exit_one(self, capsys):
         code, _ = run(capsys, "compute", "--invariant", "not-a-thing", "--input", "x")
@@ -302,6 +319,11 @@ class TestCompose:
         path = write_json(tmp_path, {"pieces": "nope"})
         code, _ = run(capsys, "compose", "--input", path, "--theorem", "thm2")
         assert code == 1
+
+    def test_deeply_nested_json_is_bad_input(self, tmp_path, capsys):
+        path = write_deep_json(tmp_path)
+        assert main(["compose", "--input", path, "--theorem", "thm2"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "bad JSON")
 
     def test_prop9_witness_in_the_specs_labelling(self, tmp_path, capsys):
         path = write_json(tmp_path, P2_P3_ROOTED_AT_2)
