@@ -103,10 +103,7 @@ def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decompositi
             if not 0 <= local < piece.n:
                 raise InputFormatError(f"piece {index}: anchor vertex {local} out of range")
         shared = [name for name in names if name in known]
-        if index == 0:
-            if shared:
-                raise NonTreeAttachment("the first piece cannot share anchors")
-        elif len(shared) != 1:
+        if index > 0 and len(shared) != 1:
             raise NonTreeAttachment(
                 f"piece {index} shares {len(shared)} known anchors, needs exactly 1"
             )

@@ -78,12 +78,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--invariant", required=True, choices=tuple(INVARIANTS))
     p.add_argument("--at", default=None, help="comma-separated anchor vertices")
     common(p)
+    p.set_defaults(run=cmd_compute)
 
     p = sub.add_parser("compose", help="apply a composition rule to a spec file")
     p.add_argument("--input", required=True, help="decomposition or rooted-product JSON")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--relaxed-cor3", action="store_true")
     common(p)
+    p.set_defaults(run=cmd_compose)
 
     p = sub.add_parser("verify", help="cross-check a rule against the exact search")
     p.add_argument("--input", default=None, help="spec file (omit for --count batches)")
@@ -93,10 +95,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=None,
                    help="verify this many seeded random instances instead of a file")
     common(p)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("generate", help="emit a named family graph or decomposition")
     p.add_argument("family", choices=FAMILY_NAMES)
     p.add_argument("size", type=int, nargs="?", default=None)
+    p.set_defaults(run=cmd_generate)
     return parser
 
 
@@ -304,21 +308,13 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "compute": cmd_compute,
-    "compose": cmd_compose,
-    "verify": cmd_verify,
-    "generate": cmd_generate,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
         if "oracle_cap" in ns:  # every command but generate
             ns.oracle_cap = _oracle_cap(ns.oracle_cap)
-        return _HANDLERS[ns.command](ns)
+        return ns.run(ns)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

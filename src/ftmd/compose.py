@@ -34,10 +34,11 @@ from .resolve import fdim, fdim_plus, in_some_ft_basis, is_ft_resolving, theta
 class TheoremResult:
     """Value of a composition rule plus its named hypothesis checks.
 
-    ``value`` is only set when every check passed; rules that prove a range
-    instead of a point fill ``bounds``.  When a rule produces an explicit
-    landmark set on the composite it is machine-checked and the outcome is
-    recorded in ``witness_valid``.
+    A failed hypothesis check raises ``PreconditionFailed`` instead, so
+    every listed check passed.  Rules that prove a range fill ``bounds``;
+    ``value`` is None only when ``prop9``'s bounds differ.  When a rule
+    produces an explicit landmark set on the composite it is machine-checked
+    and the outcome is recorded in ``witness_valid``.
     """
 
     theorem: str
@@ -567,34 +568,35 @@ def _try_random_decomposition(
         total += _POOL[names[i]].n - (0 if i == 0 else 1)
     pieces = [_POOL[nm] for nm in names]
 
-    parent = {i: rng.randrange(i) for i in range(1, k)}
-    children: dict[int, list[int]] = {i: [] for i in range(k)}
+    children: list[list[int]] = [[] for _ in range(k)]
     for i in range(1, k):
-        children[parent[i]].append(i)
+        children[rng.randrange(i)].append(i)  # piece i's parent
     need = [len(children[i]) + (1 if i > 0 else 0) for i in range(k)]
 
-    # Per piece: the vertex identified with its parent, and the vertices its
-    # children attach to.  Conditioned runs draw the whole anchor set from
-    # the subsets that pass the piece's condition.
-    own_anchor: dict[int, int] = {}
-    target_of: dict[int, int] = {}
-    for i in range(k):
-        g = pieces[i]
+    # Per piece, in stream order: the vertex identified with its parent (not
+    # for piece 0), which takes the name the parent gave it, then one vertex
+    # per child, named a{i}.{vertex} unless it is that same vertex.
+    # Conditioned runs draw the whole anchor set from the subsets that pass
+    # the piece's condition.
+    name_for: dict[int, str] = {}  # child -> name of its attachment vertex
+    spec = []
+    for i, g in enumerate(pieces):
         if condition is None:
-            if i > 0:
-                own_anchor[i] = rng.randrange(g.n)
-            for c in children[i]:
-                target_of[c] = rng.randrange(g.n)
-            continue
-        options = _admissible_anchors(names[i], need[i])
-        if not options:
-            return None
-        chosen = list(rng.choice(options))
-        rng.shuffle(chosen)
+            drawn = [rng.randrange(g.n) for _ in range(need[i])]
+        else:
+            options = _admissible_anchors(names[i], need[i])
+            if not options:
+                return None
+            drawn = list(rng.choice(options))
+            rng.shuffle(drawn)
+            drawn.reverse()
+        amap: dict[int, str] = {}
+        anchors = iter(drawn)
         if i > 0:
-            own_anchor[i] = chosen.pop()
-        for c in children[i]:
-            target_of[c] = chosen.pop()
+            amap[next(anchors)] = name_for[i]
+        for c, local in zip(children[i], anchors):
+            name_for[c] = amap.setdefault(local, f"a{i}.{local}")
+        spec.append((g, amap))
 
     # Only after the last draw, so a rejected attempt consumes the same
     # draws whichever piece it rejects.
@@ -602,20 +604,6 @@ def _try_random_decomposition(
         for i, piece in enumerate(pieces):
             if need[i] == piece.n or not _minimal_sizes_agree(names[i]):
                 return None
-
-    def resolve_name(i: int, local: int) -> str:
-        while i > 0 and local == own_anchor[i]:
-            i, local = parent[i], target_of[i]
-        return f"a{i}.{local}"
-
-    spec = []
-    for i in range(k):
-        amap: dict[int, str] = {}
-        for c in children[i]:
-            amap[target_of[c]] = resolve_name(i, target_of[c])
-        if i > 0:
-            amap[own_anchor[i]] = resolve_name(i, own_anchor[i])
-        spec.append((pieces[i], amap))
     return point_attach(spec)
 
 

@@ -30,6 +30,7 @@ cover; a vertex already in the current witness needs no search.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 
@@ -250,9 +251,10 @@ class Cover:
             chosen |= bit
         return witness
 
+    @functools.cached_property
     def largest_minimal(self) -> tuple[int, int]:
         """Size of the largest inclusion-minimal 2-fold cover and the
-        lexicographically first cover of that size.
+        lexicographically first cover of that size; remembered.
 
         A 2-fold cover S is minimal exactly when each member lies in some
         row that S meets exactly twice: dropping the member leaves that row

@@ -79,12 +79,17 @@ def figure2_decomposition() -> Decomposition:
     )
 
 
+MAX_EDGES = 10**6
+
+# family -> (builder, edge count of the member of that size).  The count is
+# checked before anything is built; hypercube clips its exponent, since every
+# d past 16 is over the bound and 2 ** d of a huge d would itself be huge.
 _SIZED = {
-    "path": path_graph,
-    "cycle": cycle_graph,
-    "complete": complete_graph,
-    "star": star_graph,
-    "hypercube": hypercube_graph,
+    "path": (path_graph, lambda n: n - 1),
+    "cycle": (cycle_graph, lambda n: n),
+    "complete": (complete_graph, lambda n: n * (n - 1) // 2),
+    "star": (star_graph, lambda t: t),
+    "hypercube": (hypercube_graph, lambda d: d * 2 ** min(d - 1, 64)),
 }
 
 _FIXED = {
@@ -97,11 +102,17 @@ FAMILY_NAMES = tuple(sorted(_SIZED) + sorted(_FIXED))
 
 
 def generate(family: str, size: int | None = None) -> Graph | Decomposition:
-    """Build the canonical member of a family; ``size`` is None for the fixed ones."""
+    """Build the canonical member of a family; ``size`` is None for the fixed
+    ones.  Members with more than ``MAX_EDGES`` edges are refused unbuilt."""
     if family in _SIZED:
         if size is None:
             raise IllegalParameter(f"family {family!r} needs a size parameter")
-        return _SIZED[family](size)
+        build, edges = _SIZED[family]
+        if edges(size) > MAX_EDGES:
+            raise IllegalParameter(
+                f"family {family!r} of size {size} has more than {MAX_EDGES} edges"
+            )
+        return build(size)
     if family in _FIXED:
         if size is not None:
             raise IllegalParameter(f"family {family!r} takes no size parameter")

@@ -138,7 +138,7 @@ def fdim_plus(g: Graph, cap: int | None = None) -> FtReport:
     the set above the best size found.
     """
     _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "minimal-set scan")
-    value, witness = g.dist.cover.largest_minimal()
+    value, witness = g.dist.cover.largest_minimal
     return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 
 

@@ -554,6 +554,13 @@ class TestGenerate:
         code, _ = run(capsys, "generate", "cycle", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("family, size", [("hypercube", "40"), ("complete", "100000")])
+    def test_oversized_family_is_refused(self, capsys, family, size):
+        assert main(["generate", family, size]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "edges")
+
     def test_ignores_the_cap_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("FTMD_ORACLE_CAP", "x")
         code, out = run(capsys, "generate", "cycle", "4")

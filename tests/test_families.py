@@ -17,6 +17,7 @@ from ftmd import (
     paw_graph,
     star_graph,
 )
+from ftmd import families
 
 
 class TestGenerators:
@@ -65,6 +66,20 @@ class TestGenerators:
             generate("cycle")
         with pytest.raises(IllegalParameter):
             generate("unknown", 3)
+
+    def test_edge_bound_refuses_before_building(self):
+        for family, size in [("hypercube", 40), ("complete", 100_000), ("cycle", 10**6 + 1),
+                             ("hypercube", 10**9)]:
+            with pytest.raises(IllegalParameter, match="more than 1000000 edges"):
+                generate(family, size)
+
+    def test_edge_bound_counts_each_family_exactly(self, monkeypatch):
+        monkeypatch.setattr(families, "MAX_EDGES", 12)
+        for family, largest in [("path", 13), ("cycle", 12), ("complete", 5),
+                                ("star", 12), ("hypercube", 3)]:
+            assert len(generate(family, largest).edges) <= 12
+            with pytest.raises(IllegalParameter):
+                generate(family, largest + 1)
 
 
 class TestFigure2:

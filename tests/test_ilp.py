@@ -6,16 +6,19 @@ fault-tolerant when it meets each one twice, so each minimum is the integer
 program min sum(x) subject to x(M) >= d for every mask M (Chartrand, Eroh,
 Johnson & Oellermann 2000; d = 2 after Hernando, Mora, Slater & Wood
 2008).  The masks here are rebuilt from the distance rows, not read from
-the library's cover kernel, and HiGHS solves the program.
+the library's cover kernel, and HiGHS solves the program.  Basis
+membership and anchor overlap are the same program with vertices fixed in
+at the fault-tolerant dimension.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
-from ftmd import build_graph, fdim, fdim_star, metric_dimension
+from ftmd import build_graph, fdim, fdim_star, in_some_ft_basis, metric_dimension, theta
 
 np = pytest.importorskip("numpy")
 optimize = pytest.importorskip("scipy.optimize")
@@ -129,3 +132,38 @@ def test_lex_first_witness_matches_the_integer_program(graphs, search, demand):
         masks = masks_from_rows(g.dist.rows)
         assert meets(masks, report.witness, demand)
         assert list(report.witness) == ilp_lex_first(g.n, masks, demand, report.witness)
+
+
+def ilp_theta(n, masks, value, anchors) -> int:
+    """The most anchors that one set of ``value`` vertices meeting every mask
+    twice can hold: anchor subsets largest first, at most 2 ** len(anchors)
+    solves."""
+    for k in range(len(anchors), 0, -1):
+        for subset in combinations(anchors, k):
+            if ilp_minimum(n, masks, 2, fixed_in=subset, size=value) is not None:
+                return k
+    return 0
+
+
+def test_basis_membership_matches_the_integer_program(graphs):
+    answers = set()
+    for g in graphs[1:3]:
+        masks = masks_from_rows(g.dist.rows)
+        value = fdim(g, cap=g.n).value  # checked against the program above
+        for v in range(5):
+            member = ilp_minimum(g.n, masks, 2, fixed_in=(v,), size=value) is not None
+            assert in_some_ft_basis(g, v, cap=g.n) == member, (g.n, v)
+            answers.add(member)
+    assert answers == {False, True}
+
+
+def test_theta_matches_the_integer_program(graphs):
+    anchors = (0, 3, 9)
+    values = []
+    for g in graphs[:3]:
+        masks = masks_from_rows(g.dist.rows)
+        assert not meets(masks, anchors, 1)  # else theta is fdim by definition
+        value = fdim(g, cap=g.n).value
+        values.append(ilp_theta(g.n, masks, value, anchors))
+        assert theta(g, anchors, cap=g.n) == values[-1], g.n
+    assert values == [3, 2, 1]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -29,6 +30,7 @@ from ftmd import (
     theta,
     twin_classes,
 )
+from ftmd.cover import Cover
 
 
 class TestIsResolving:
@@ -170,6 +172,22 @@ class TestFdimPlus:
     def test_cap(self):
         with pytest.raises(OrderCapExceeded):
             fdim_plus(cycle_graph(15))
+
+    def test_one_search_per_graph(self, monkeypatch):
+        search = Cover.largest_minimal.func
+        calls = []
+
+        def counted(cover):
+            calls.append(cover)
+            return search(cover)
+
+        remembered = functools.cached_property(counted)
+        remembered.__set_name__(Cover, "largest_minimal")
+        monkeypatch.setattr(Cover, "largest_minimal", remembered)
+        g = cycle_graph(8)
+        first = fdim_plus(g)
+        assert fdim_plus(g) == first
+        assert len(calls) == 1
 
 
 class TestTheta:
