@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 malformed input, 2 order cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Built on the first call to main and reused: parse_args returns a fresh
+# Namespace and stores nothing on the parser, and the cmd_* handlers read
+# this module's globals when they run, so rebinding them still takes effect.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ftmd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

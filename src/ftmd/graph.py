@@ -152,7 +152,10 @@ class Graph:
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Validate and build an immutable connected graph from vertex pairs."""
+    """Validate and build an immutable connected graph from vertex pairs.
+
+    Every endpoint goes through ``int()``; the parsers below already hold
+    ``int`` pairs, so they construct the ``Graph`` directly."""
     return Graph(int(n), tuple((int(u), int(v)) for u, v in edges))
 
 
@@ -269,7 +272,7 @@ def parse_edge_list(text: str) -> Graph:
     pairs = rows[1:]
     if len(pairs) != m:
         raise InputFormatError(f"header says {m} edges, found {len(pairs)}")
-    return build_graph(n, pairs)
+    return Graph(n, tuple(pairs))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -305,4 +308,4 @@ def graph_from_json_dict(obj) -> Graph:
         if not (is_int(e[0]) and is_int(e[1])):
             raise InputFormatError(f"edge {e!r} needs integer endpoints")
         pairs.append((e[0], e[1]))
-    return build_graph(n, pairs)
+    return Graph(n, tuple(pairs))

@@ -9,7 +9,7 @@ from ftmd import decomposition_to_json, figure2_decomposition, format_edge_list
 from ftmd import cycle_graph, complete_graph, path_graph, paw_graph, point_attach
 from ftmd import fdim, fdim_plus, fdim_star, metric_dimension, theta
 from ftmd import RootedProductSpec, rooted_spec_to_json, uniform_rooted_spec, verify
-from ftmd.cli import INVARIANTS, main
+from ftmd.cli import INVARIANTS, _build_parser, main
 from ftmd.compose import RULES
 from ftmd.resolve import FtReport
 
@@ -200,11 +200,16 @@ class TestInvariantTable:
             calls.append((g.n, cap))
             return FtReport(7, (0,), "oracle")
 
-        monkeypatch.setattr(cli_mod, "fdim", patched)
         path = write_graph(tmp_path, cycle_graph(8))
-        code, out = run(capsys, "compute", "--input", path, "--invariant", "fdim",
-                        "--oracle-cap", "9", "--output", "json")
+        argv = ("compute", "--input", path, "--invariant", "fdim", "--oracle-cap", "9",
+                "--output", "json")
+        # the parser is cached before the rebinding, as under the bench tracer
+        assert run(capsys, *argv)[0] == 0
+        hits = _build_parser.cache_info().hits
+        monkeypatch.setattr(cli_mod, "fdim", patched)
+        code, out = run(capsys, *argv)
         assert code == 0
+        assert _build_parser.cache_info().hits == hits + 1
         assert calls == [(8, 9)]
         assert (json.loads(out)["value"], json.loads(out)["witness"]) == (7, [0])
 
@@ -220,6 +225,67 @@ class TestInvariantTable:
         assert main(["compute", "--input", path, "--invariant", invariant, "--at", "99,-4"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {invariant} takes no --at\n")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's
+    options, output mode or environment."""
+
+    def test_built_once(self, tmp_path):
+        graph = write_graph(tmp_path, cycle_graph(8))
+        spec = write_json(tmp_path, P2_P3_ROOTED_AT_2)
+        _build_parser.cache_clear()
+        for argv in (["compute", "--input", graph, "--invariant", "fdim"],
+                     ["compose", "--input", spec, "--theorem", "prop9"],
+                     ["verify", "--input", spec, "--theorem", "prop9"],
+                     ["verify", "--theorem", "thm2", "--count", "2"],
+                     ["generate", "cycle", "4"],
+                     ["compute", "--input", graph, "--invariant", "theta", "--at", "0,4"]):
+            assert main(argv) == 0
+        assert _build_parser.cache_info().misses == 1
+
+    def test_timings_do_not_carry_over(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle_graph(8))
+        argv = ("compute", "--input", path, "--invariant", "fdim", "--output", "json")
+        _, out = run(capsys, *argv, "--timings")
+        assert "timings" in json.loads(out)
+        _, out = run(capsys, *argv)
+        assert "timings" not in json.loads(out)
+
+    def test_anchors_do_not_carry_over(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle_graph(8))
+        common = ("compute", "--input", path, "--output", "json")
+        _, out = run(capsys, *common, "--invariant", "fdim-star", "--at", "0")
+        assert json.loads(out)["anchors"] == [0]
+        code, out = run(capsys, *common, "--invariant", "fdim")
+        assert code == 0
+        assert "anchors" not in json.loads(out)
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle_graph(8))
+        assert run(capsys, "compute", "--input", path, "--invariant", "nope")[0] == 1
+        code, out = run(capsys, "compute", "--input", path, "--invariant", "fdim",
+                        "--output", "json")
+        assert code == 0
+        assert json.loads(out)["value"] == 3
+
+    def test_help_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--help"])
+        assert exc.value.code == 0
+        assert "--invariant" in capsys.readouterr().out
+        code, out = run(capsys, "generate", "cycle", "8")
+        assert code == 0
+        assert out.splitlines()[0] == "8 8"
+
+    def test_cap_environment_is_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path, cycle_graph(8))
+        argv = ("compute", "--input", path, "--invariant", "fdim")
+        monkeypatch.delenv("FTMD_ORACLE_CAP", raising=False)
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("FTMD_ORACLE_CAP", "6")
+        assert main(list(argv)) == 2
+        assert_one_error_line(capsys.readouterr().err, "capped at order 6, got 8")
 
 
 def write_edge_list(tmp_path, n, edges, name="big.edgelist"):

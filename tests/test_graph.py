@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from conftest import connected_graphs
 from ftmd import (
     DisconnectedInput,
     DuplicateEdge,
+    GraphBuildError,
     InputFormatError,
     OrderCapExceeded,
     OrderTooSmall,
@@ -255,3 +258,39 @@ class TestEdgeListFormat:
         # isinstance(True, int) holds, and True would build a 1-vertex graph
         with pytest.raises(InputFormatError, match='"n" must be an integer'):
             graph_from_json_dict({"n": True, "edges": []})
+
+
+def _parse_both(tmp_path, n, edges):
+    """The graph (or error) each parser gives for n and edges, read back from files."""
+    text_path = tmp_path / "g.edgelist"
+    text_path.write_text("\n".join([f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]) + "\n")
+    json_path = tmp_path / "g.json"
+    json_path.write_text(json.dumps({"n": n, "edges": [list(e) for e in edges]}))
+    return (lambda: parse_edge_list(text_path.read_text()),
+            lambda: graph_from_json_dict(json.loads(json_path.read_text())))
+
+
+class TestParsersMatchBuildGraph:
+    """The parsers construct the Graph from their int pairs directly; they
+    must give what build_graph gives on the same input, error for error."""
+
+    @pytest.mark.parametrize("g", [paw_graph(), cycle_graph(9), hypercube_graph(3)])
+    def test_same_graph(self, tmp_path, g):
+        expected = build_graph(g.n, g.edges)
+        for parse in _parse_both(tmp_path, g.n, list(g.edges)):
+            assert parse() == expected
+
+    @pytest.mark.parametrize("n, edges", [
+        (1, []),
+        (3, [(0, 3), (1, 1)]),
+        (3, [(1, 1), (0, 3)]),
+        (3, [(0, 1), (1, 0), (1, 2)]),
+        (4, [(0, 1)]),
+        (4, [(0, 1), (1, 2), (0, 2)]),
+    ])
+    def test_same_error(self, tmp_path, n, edges):
+        with pytest.raises(GraphBuildError) as expected:
+            build_graph(n, edges)
+        for parse in _parse_both(tmp_path, n, edges):
+            with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+                parse()
