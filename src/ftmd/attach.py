@@ -33,7 +33,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    build_graph,
     graph_from_json_dict,
     graph_to_json_dict,
     is_even_graph,
@@ -122,7 +121,7 @@ def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decompositi
         global_ids.append(tuple(ids))
         anchor_maps.append(tuple(items))
         edges.extend((ids[u], ids[v]) for u, v in piece.edges)
-    composite = build_graph(next_id, edges)
+    composite = Graph(next_id, tuple(edges))
     return Decomposition(tuple(pieces), tuple(anchor_maps), composite, tuple(global_ids))
 
 

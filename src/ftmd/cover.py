@@ -62,9 +62,11 @@ class Cover:
         n = universe.bit_length()
         columns = [0] * n
         if rows:
-            # transpose the row bitmasks: row i becomes bit i of column v
-            strings = zip(*[format(m, f"0{n}b") for m in reversed(rows)])
-            columns = [int("".join(column), 2) for column in strings][::-1]
+            # transpose the row bitmasks: join their n-digit binary strings,
+            # last row first, and vertex v's digits are every n-th character
+            # from n - 1 - v, the column that holds row i as bit i
+            joined = "".join([format(m, f"0{n}b") for m in reversed(rows)])
+            columns = [int(joined[n - 1 - v::n], 2) for v in range(n)]
         self.rows = tuple(rows)
         self.universe = universe
         self.inc = {1 << v: column for v, column in enumerate(columns)}

@@ -7,39 +7,39 @@ from itertools import combinations
 
 from .attach import Decomposition, point_attach
 from .errors import IllegalParameter
-from .graph import Graph, build_graph
+from .graph import Graph
 
 
 def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
     if n < 2:
         raise IllegalParameter(f"path needs n >= 2, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle numbered along the walk."""
     if n < 3:
         raise IllegalParameter(f"cycle needs n >= 3, got {n}")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
     if n < 2:
         raise IllegalParameter(f"complete graph needs n >= 2, got {n}")
-    return build_graph(n, list(combinations(range(n), 2)))
+    return Graph(n, tuple(combinations(range(n), 2)))
 
 
 def star_graph(t: int) -> Graph:
     """Star with center 0 and leaves 1..t."""
     if t < 1:
         raise IllegalParameter(f"star needs t >= 1, got {t}")
-    return build_graph(t + 1, [(0, i) for i in range(1, t + 1)])
+    return Graph(t + 1, tuple((0, i) for i in range(1, t + 1)))
 
 
 def paw_graph() -> Graph:
     """Triangle 0-1-2 with pendant vertex 3 attached to 2."""
-    return build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    return Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
 
 
 def hypercube_graph(d: int) -> Graph:
@@ -53,12 +53,12 @@ def hypercube_graph(d: int) -> Graph:
             w = v ^ (1 << b)
             if v < w:
                 edges.append((v, w))
-    return build_graph(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def bowtie_graph() -> Graph:
     """Two triangles sharing vertex 2."""
-    return build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    return Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
 
 
 def figure2_decomposition() -> Decomposition:

@@ -7,6 +7,11 @@ otherwise one breadth-first search decides, so refusing an oversized graph
 costs O(n + m).  The all-pairs distance matrix is built on first use of
 ``Graph.dist``, by breadth-first search from every vertex, and every other
 module reads it from that cached matrix.
+
+The distinguisher masks, which every search reads, are built from it in
+bulk: each distance row becomes one integer with a byte per vertex (wider
+fields once the diameter reaches 256), and a pair's mask is read off the
+bytes of the XOR of its two rows.
 """
 
 from __future__ import annotations
@@ -29,6 +34,29 @@ from .errors import (
 
 VERTEX_TRANSITIVITY_CAP = 12
 UNREACHABLE_SHOWN = 20  # unreachable vertices named in a DisconnectedInput message
+
+
+# byte 0 reads as the digit '0', every other byte as '1'
+NONZERO = b"0" + b"1" * 255
+
+
+def _wide_masks(rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """The pair masks, in pair order, with a ``width``-byte field per
+    vertex: each XOR is folded so that a field's lowest byte is non-zero
+    iff the field is, and only those bytes are read."""
+    n = len(rows)
+    packed = [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little")
+              for row in rows]
+    shifts = range(8, 8 * width, 8)
+    masks = []
+    for u, row_u in enumerate(packed):
+        for row_v in packed[u + 1:]:
+            x = low = row_u ^ row_v
+            for s in shifts:
+                low |= x >> s
+            digits = low.to_bytes(n * width, "big").translate(NONZERO)
+            masks.append(int(digits[width - 1::width], 2))
+    return masks
 
 
 @dataclass(frozen=True)
@@ -61,19 +89,22 @@ class DistanceMatrix:
         tolerates any single failure iff it meets every mask twice.  Masks
         are sorted by population count: the scarcest pairs fail fastest, and
         the two-vertex masks, exactly the twin pairs, come first.
+
+        Each distance row is packed into one integer with a byte per
+        vertex, vertex w in byte w.  The XOR of two packed rows is non-zero
+        in exactly the bytes of the vertices that tell the pair apart, so
+        its bytes, translated to binary digits, read back as the mask.
+        Field width follows the diameter: once it reaches 256, each vertex
+        takes as many bytes as the diameter needs (``_wide_masks``).
         """
-        masks = []
-        rows = self.rows
         n = self.n
-        for u in range(n):
-            row_u = rows[u]
-            for v in range(u + 1, n):
-                row_v = rows[v]
-                m = 0
-                for w in range(n):
-                    if row_u[w] != row_v[w]:
-                        m |= 1 << w
-                masks.append(m)
+        width = (self.diameter.bit_length() + 7) // 8
+        if width > 1:
+            masks = _wide_masks(self.rows, width)
+        else:
+            packed = [int.from_bytes(bytes(row), "little") for row in self.rows]
+            masks = [int((row_u ^ row_v).to_bytes(n, "big").translate(NONZERO), 2)
+                     for u, row_u in enumerate(packed) for row_v in packed[u + 1:]]
         masks.sort(key=int.bit_count)
         return tuple(masks)
 
@@ -104,13 +135,16 @@ class Graph:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+                e = (u, v)
+            elif e.__class__ is not tuple:
+                e = (u, v)
+            if e in seen:
                 raise DuplicateEdge(f"edge ({u}, {v}) given twice")
-            seen.add((u, v))
-            canon.append((u, v))
+            seen.add(e)
+            canon.append(e)
         if len(canon) < self.n - 1:
             raise DisconnectedInput(f"{len(canon)} edges cannot connect {self.n} vertices")
-        canon.sort()
+        canon.sort()  # in input order, so edges given sorted sort in one pass
         object.__setattr__(self, "edges", tuple(canon))
         reached = self._bfs_row(0)
         if min(reached) < 0:
@@ -122,11 +156,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        # the sorted edges list each vertex's smaller neighbours, ascending,
+        # before its larger ones, so every row comes out ascending
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -154,8 +190,9 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and build an immutable connected graph from vertex pairs.
 
-    Every endpoint goes through ``int()``; the parsers below already hold
-    ``int`` pairs, so they construct the ``Graph`` directly."""
+    Every endpoint goes through ``int()``; the parsers below, the family
+    generators and ``point_attach`` already hold ``int`` pairs, so they
+    construct the ``Graph`` directly."""
     return Graph(int(n), tuple((int(u), int(v)) for u, v in edges))
 
 
@@ -256,10 +293,11 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain "n m" / "u v" text format into a Graph."""
     rows: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split()
+        if "#" in raw:  # only lines with a comment split twice
+            parts = raw.partition("#")[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise InputFormatError(f"line {lineno}: expected two integers, got {raw!r}")
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 import networkx as nx
+import numpy as np
 
 
 def nx_distances(n, edges):
@@ -19,6 +20,20 @@ def nx_distances(n, edges):
     g.add_edges_from(edges)
     raw = dict(nx.all_pairs_shortest_path_length(g))
     return [[raw[u][v] for v in range(n)] for u in range(n)]
+
+
+def distinguisher_masks(n, edges):
+    """The mask of every pair u < v, in pair order, then stably sorted by
+    size: bit w is set when w is at different distances from u and v.  The
+    comparison runs at every vertex of every pair, as whole distance rows
+    at a time, and each row of comparisons is packed into the mask."""
+    dist = np.array(nx_distances(n, edges))
+    masks = []
+    for u in range(n - 1):
+        differs = dist[u] != dist[u + 1:]  # row j: the pair (u, u + 1 + j)
+        packed = np.packbits(differs, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return tuple(sorted(masks, key=lambda m: bin(m).count("1")))
 
 
 def representation(dist, subset, v):

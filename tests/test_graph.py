@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 
 import bruteforce as bf
-from conftest import connected_graphs
+from conftest import connected_graphs, random_connected
 from ftmd import (
     DisconnectedInput,
     DuplicateEdge,
+    Graph,
     GraphBuildError,
     InputFormatError,
     OrderCapExceeded,
@@ -77,6 +79,19 @@ class TestBuildGraph:
         g = build_graph(3, [(2, 1), (1, 0)])
         assert g.edges == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_reversed_edges_give_canonical_edges_and_ascending_adjacency(self, seed):
+        rng = random.Random(seed)
+        ref = random_connected(rng, 30)
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in ref.edges]
+        rng.shuffle(given)
+        for g in (build_graph(ref.n, given), Graph(ref.n, tuple(given)),
+                  Graph(ref.n, tuple(list(e) for e in given))):
+            assert g.edges == tuple(sorted(tuple(sorted(e)) for e in given))
+            assert all(type(e) is tuple for e in g.edges)
+            for v, row in enumerate(g.adjacency):
+                assert list(row) == sorted(w for e in given if v in e for w in e if w != v)
+
     def test_distances_built_on_first_use(self, bfs_rows):
         g = cycle_graph(40)
         assert bfs_rows == [0]  # the connectivity check only
@@ -105,6 +120,28 @@ class TestDistances:
     def test_matches_networkx(self):
         for g in [path_graph(6), cycle_graph(7), paw_graph(), hypercube_graph(3)]:
             assert [list(r) for r in g.dist.rows] == bf.nx_distances(g.n, g.edges)
+
+
+class TestDistinguisherMasks:
+    """The mask tuple, order included, equals the definition-level one."""
+
+    def test_atlas_graphs(self, atlas_upto_7):
+        for g in atlas_upto_7:
+            assert g.dist.distinguisher_masks == bf.distinguisher_masks(g.n, g.edges)
+
+    @pytest.mark.parametrize("n", [8, 13, 24, 40, 64, 100])
+    def test_random_graphs(self, n):
+        g = random_connected(random.Random(n), n)
+        assert g.dist.distinguisher_masks == bf.distinguisher_masks(g.n, g.edges)
+
+    def test_two_byte_fields(self):
+        # a diameter of 256 or more needs two bytes per vertex
+        tail = 300  # a 6-cycle with a path of `tail` edges hung at vertex 5
+        tadpole = build_graph(6 + tail, [(i, (i + 1) % 6) for i in range(6)]
+                              + [(i, i + 1) for i in range(5, 5 + tail)])
+        for g in (path_graph(257), tadpole):
+            assert g.dist.diameter >= 256
+            assert g.dist.distinguisher_masks == bf.distinguisher_masks(g.n, g.edges)
 
 
 class TestEccentricity:
@@ -294,3 +331,29 @@ class TestParsersMatchBuildGraph:
         for parse in _parse_both(tmp_path, n, edges):
             with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
                 parse()
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 2), (2, 1)], "edge (1, 2) given twice"),
+        ([(1, 2), (0, 2), (2, 1)], "edge (1, 2) given twice"),
+        ([(2, 0), (0, 1), (0, 2)], "edge (0, 2) given twice"),
+    ])
+    def test_reversed_duplicate_names_the_canonical_edge(self, tmp_path, edges, message):
+        for parse in (lambda: build_graph(3, edges), *_parse_both(tmp_path, 3, edges)):
+            with pytest.raises(DuplicateEdge, match=f"^{re.escape(message)}$"):
+                parse()
+
+    def test_comment_blank_and_trailing_hash_lines(self):
+        text = ("# a paw\n\n   \n\t\n#\n  # indented comment\n4 4 # n m\n"
+                "0 1#no space\n0 2 #\n# 7 8\n1 2\t# tab\n\n2 3\n# the end")
+        assert parse_edge_list(text) == build_graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("text, message", [
+        ("# c\n\n3 2\n0 1 2 # three\n1 2\n", "line 4: expected two integers, got '0 1 2 # three'"),
+        ("3 2\n0 1\n  # c\n5#6\n", "line 4: expected two integers, got '5#6'"),
+        ("3 2\n0 1 # ok\n1 x # y\n", "line 3: invalid literal for int() with base 10: 'x'"),
+        ("# only\n\n  # comments\n", "empty edge-list input"),
+        ("3 2 # header\n0 1\n# 1 2\n", "header says 2 edges, found 1"),
+    ])
+    def test_comment_lines_keep_error_messages(self, text, message):
+        with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+            parse_edge_list(text)
