@@ -41,9 +41,8 @@ from .graph import (
 from .resolve import (
     DEFAULT_ORACLE_CAP,
     FtReport,
-    _as_mask,
     _check_cap,
-    _meets,
+    _resolves,
     _validated,
 )
 
@@ -137,29 +136,37 @@ def is_attaching_ft_resolving(g: Graph, at: Iterable[int], f: Iterable[int]) -> 
     overlap = set(av) & set(fv)
     if overlap:
         raise OverlapError(f"candidate set touches anchors: {sorted(overlap)}")
-    # A mask that an anchor meets always survives: with two anchors in it,
-    # or with one anchor and a member of f, two landmarks are left after
-    # any deletion from f; with one anchor and no member of f, the anchor
-    # alone remains.  So exactly the masks no anchor meets need f twice.
-    return _meets(_missed(g, _as_mask(av)), _as_mask(fv), 2)
+    # the definition, on the rows of f | at; fdim_star searches its mask
+    # form, which ``_missed`` derives
+    if not fv:
+        return _resolves(g.dist, av)
+    return all(_resolves(g.dist, [v for v in av + fv if v != y]) for y in fv)
 
 
 def _missed(g: Graph, at_mask: int) -> list[int]:
+    """The distinguisher masks that no anchor meets.
+
+    A set f outside the anchors passes ``is_attaching_ft_resolving`` iff it
+    meets each of these masks twice.  A mask that an anchor meets always
+    survives: with two anchors in it, or with one anchor and a member of f,
+    two landmarks are left after any deletion from f; with one anchor and
+    no member of f, the anchor alone remains.  With f empty, the condition
+    says that no mask is missed: the anchors resolve the graph.
+    """
     return [m for m in g.dist.distinguisher_masks if not m & at_mask]
 
 
 def fdim_star(g: Graph, at: Iterable[int], cap: int | None = None) -> FtReport:
     """Minimum anchored fault-tolerant candidate set, lexicographically first.
 
-    By the equivalence in ``is_attaching_ft_resolving`` this is the
-    smallest set of non-anchor vertices that meets twice every mask no
-    anchor meets, found by the minimum-cover search of ``ftmd.cover``.  With
-    an empty anchor set this degenerates to the plain fault-tolerant
-    dimension, which keeps sums over anchor-free one-piece decompositions
-    well defined.
+    By the equivalence in ``_missed`` this is the smallest set of
+    non-anchor vertices that meets twice every mask no anchor meets, found
+    by the minimum-cover search of ``ftmd.cover``.  With an empty anchor
+    set this degenerates to the plain fault-tolerant dimension, which
+    keeps sums over anchor-free one-piece decompositions well defined.
     """
     _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "anchored search")
-    at_mask = _as_mask(_validated(g.n, at))
+    at_mask = sum(1 << a for a in _validated(g.n, at))  # distinct anchors
     value, witness = Cover(_missed(g, at_mask), ((1 << g.n) - 1) & ~at_mask).minimum(2)
     return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
 

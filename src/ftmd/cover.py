@@ -65,7 +65,8 @@ class Cover:
             # transpose the row bitmasks: join their n-digit binary strings,
             # last row first, and vertex v's digits are every n-th character
             # from n - 1 - v, the column that holds row i as bit i
-            joined = "".join([format(m, f"0{n}b") for m in reversed(rows)])
+            spec = f"0{n}b"
+            joined = "".join([format(m, spec) for m in reversed(rows)])
             columns = [int(joined[n - 1 - v::n], 2) for v in range(n)]
         self.rows = tuple(rows)
         self.universe = universe

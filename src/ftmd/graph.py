@@ -16,7 +16,6 @@ bytes of the XOR of its two rows.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -171,10 +170,9 @@ class Graph:
     def _bfs_row(self, source: int) -> list[int]:
         dist = [-1] * self.n
         dist[source] = 0
-        queue = deque([source])
+        queue = [source]
         adj = self.adjacency
-        while queue:
-            u = queue.popleft()
+        for u in queue:  # the loop reads the vertices appended behind it
             du = dist[u] + 1
             for w in adj[u]:
                 if dist[w] < 0:

@@ -1,18 +1,22 @@
 """Exact landmark-set computations: metric dimension, the fault-tolerant
 variants, basis enumeration, and anchor-overlap statistics.
 
-Each pair of vertices has a distinguisher mask, cached on the distance
-matrix: the vertices at different distances from the two.  A set resolves
-the graph iff it meets every mask, and it survives the loss of any single
-member iff it meets every mask twice.  Every search here is one of those
-multicover problems, solved by the kernel in ``ftmd.cover`` on the
-distinct masks: minimum covers by raising the size from a packing bound
-with include/exclude branching on the scarcest mask, basis enumeration and
-membership with the same branching at the minimum size, and the largest
-minimal cover by a vertex-order search.  Ties are always broken toward the
-lexicographically smallest witness so outputs are deterministic.  The
-kernel remembers its minimum covers per demand on the distance matrix, so
-the searches that build on them solve them once per graph.
+A set resolves the graph when the distance vectors against it are pairwise
+distinct, and it is fault-tolerant when it still resolves after the loss
+of any single member.  Checking a given set reads only its members'
+distance rows.  A search reads the distinguisher masks instead, cached on
+the distance matrix: each pair of vertices has one, the vertices at
+different distances from the two.  A set resolves the graph iff it meets
+every mask, and it survives the loss of any single member iff it meets
+every mask twice.  Every search here is one of those multicover problems,
+solved by the kernel in ``ftmd.cover`` on the distinct masks: minimum
+covers by raising the size from a packing bound with include/exclude
+branching on the scarcest mask, basis enumeration and membership with the
+same branching at the minimum size, and the largest minimal cover by a
+vertex-order search.  Ties are always broken toward the lexicographically
+smallest witness so outputs are deterministic.  The kernel remembers its
+minimum covers per demand on the distance matrix, so the searches that
+build on them solve them once per graph.
 """
 
 from __future__ import annotations
@@ -37,13 +41,6 @@ class FtReport:
     method: str
 
 
-def _as_mask(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 def _validated(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
     vs = tuple(sorted(set(int(v) for v in vertices)))
     if vs and not (0 <= vs[0] and vs[-1] < n):
@@ -59,28 +56,35 @@ def _check_cap(n: int, cap: int | None, default: int | None, what: str) -> None:
         raise OrderCapExceeded(f"{what} capped at order {limit}, got {n}")
 
 
-def _meets(masks: Iterable[int], s: int, times: int) -> bool:
-    """True when the vertex set s meets every mask at least ``times`` times."""
-    for m in masks:
-        if (m & s).bit_count() < times:
-            return False
-    return True
+def _resolves(d: DistanceMatrix, vs: Iterable[int]) -> bool:
+    """True when the distance vectors against the vertices vs, read off
+    their rows, are pairwise distinct; False for no vertices."""
+    return len(set(zip(*[d.rows[v] for v in vs]))) == d.n
 
 
 def is_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
-    """True when the distance vectors against s are pairwise distinct."""
+    """True when the distance vectors against s are pairwise distinct.
+
+    Reads the |s| rows of s, not the distinguisher masks: O(n |s|).
+    """
     sv = _validated(d.n, s)
     if not sv:
         raise InvalidVertexSet("a resolving set must be non-empty")
-    return _meets(d.distinguisher_masks, _as_mask(sv), 1)
+    return _resolves(d, sv)
 
 
 def is_ft_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
-    """True when s minus any single element still resolves."""
+    """True when s minus any single element still resolves.
+
+    One ``is_resolving`` test per member on the other members' rows,
+    O(n |s|²) and no masks: tens of microseconds for the witnesses the
+    composition rules check (n <= 24), though s = V on P300 takes about
+    0.4 s, more than building and testing the masks.
+    """
     sv = _validated(d.n, s)
     if len(sv) < 2:
         raise InvalidVertexSet("a fault-tolerant resolving set needs at least 2 vertices")
-    return _meets(d.distinguisher_masks, _as_mask(sv), 2)
+    return all(_resolves(d, sv[:i] + sv[i + 1:]) for i in range(len(sv)))
 
 
 def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
@@ -155,7 +159,7 @@ def theta(g: Graph, at: Iterable[int], cap: int | None = None) -> int:
     _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "anchor-overlap scan")
     av = _validated(g.n, at)
     value, _ = g.dist.cover.smallest(2)
-    if av and _meets(g.dist.distinguisher_masks, _as_mask(av), 1):
+    if av and is_resolving(g.dist, av):
         return value
     cover = g.dist.cover
     best = 0

@@ -403,6 +403,21 @@ class TestProp9:
             assert bf.ft_resolves(bf.nx_distances(comp.n, comp.edges), comp.n, list(layer))
 
 
+class TestWitnessChecksReadRows:
+    """The rules check their witnesses on the composite's distance rows, so
+    only a search on the composite builds its distinguisher masks."""
+
+    def test_prop9_builds_no_composite_masks(self):
+        spec = uniform_rooted_spec(cycle_graph(4), path_graph(3), 0)
+        assert prop9_fdim(spec).witness_valid
+        assert "distinguisher_masks" not in spec.decomposition.composite.dist.__dict__
+
+    def test_thm2_builds_no_composite_masks(self):
+        dec = figure2_decomposition()
+        assert theorem2_fdim(dec).witness_valid
+        assert "distinguisher_masks" not in dec.composite.dist.__dict__
+
+
 class TestVerify:
     def test_figure2_relaxed_cor3(self):
         rep = verify(figure2_decomposition(), "cor3", oracle_cap=20, relaxed_cor3=True)

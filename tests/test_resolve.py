@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 import bruteforce as bf
-from conftest import connected_graphs, random_connected
+from conftest import atlas_connected, connected_graphs, random_connected
 from ftmd import (
+    InvalidVertexSet,
     OrderCapExceeded,
     build_graph,
     complete_graph,
@@ -51,7 +52,7 @@ class TestIsResolving:
             assert not is_resolving(g.dist, s)
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidVertexSet):
             is_resolving(path_graph(3).dist, ())
 
 
@@ -69,8 +70,25 @@ class TestIsFtResolving:
             assert not is_ft_resolving(g.dist, s)
 
     def test_singleton_rejected(self):
-        with pytest.raises(ValueError):
-            is_ft_resolving(path_graph(3).dist, (0,))
+        for s in ((0,), (0, 0), ()):  # one vertex, once or twice, or none
+            with pytest.raises(InvalidVertexSet):
+                is_ft_resolving(path_graph(3).dist, s)
+
+
+class TestChecksMatchDefinition:
+    """Both checks read the set's own distance rows; they agree with the
+    definitions in ``tests/bruteforce.py`` on every vertex subset."""
+
+    def test_every_subset_of_small_atlas_graphs(self):
+        graphs = atlas_connected(2, 6)
+        assert len(graphs) == 142
+        for g in graphs:
+            dist = bf.nx_distances(g.n, g.edges)
+            for s in bf.all_subsets(range(g.n)):
+                if s:
+                    assert is_resolving(g.dist, s) == bf.resolves(dist, g.n, s), (g.edges, s)
+                if len(s) >= 2:
+                    assert is_ft_resolving(g.dist, s) == bf.ft_resolves(dist, g.n, s), (g.edges, s)
 
 
 class TestMetricDimension:
