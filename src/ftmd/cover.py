@@ -26,12 +26,25 @@ the smallest element of the symmetric difference.  So once the minimum
 size is known, fixing each vertex in, in order, whenever some minimum cover
 agrees with the choices so far yields the lexicographically first minimum
 cover; a vertex already in the current witness needs no search.
+
+Largest minimal covers.  ``largest_minimal`` decides vertices in index
+order instead, so its first cover of the final size is the
+lexicographically first, and spends nearly all its time proving that no
+larger minimal cover exists.  Its cut is a bound from private rows (every
+member of a minimal 2-fold cover lies in a row met exactly twice), read
+off counts taken once per suffix of the vertex order; the reading is in
+its docstring.  The index is built a block of rows at a time, which bounds
+the memory of the transpose at large orders.
 """
 
 from __future__ import annotations
 
 import functools
 from typing import Callable, Iterable
+
+# rows transposed at a time: bounds the joined digit string at this many
+# times the order, instead of the row count times the order
+TRANSPOSE_ROWS = 4096
 
 
 def bits(mask: int) -> list[int]:
@@ -61,13 +74,15 @@ class Cover:
         rows = sorted(dict.fromkeys(m & universe for m in masks), key=int.bit_count)
         n = universe.bit_length()
         columns = [0] * n
-        if rows:
-            # transpose the row bitmasks: join their n-digit binary strings,
-            # last row first, and vertex v's digits are every n-th character
-            # from n - 1 - v, the column that holds row i as bit i
-            spec = f"0{n}b"
-            joined = "".join([format(m, spec) for m in reversed(rows)])
-            columns = [int(joined[n - 1 - v::n], 2) for v in range(n)]
+        spec = f"0{n}b"
+        for start in range(0, len(rows), TRANSPOSE_ROWS):
+            # transpose a block of row bitmasks: join their n-digit binary
+            # strings, last row first, and vertex v's digits are every n-th
+            # character from n - 1 - v, the block's column with its row i as
+            # bit i; shifted by the block's first row, it joins v's column
+            block = rows[start:start + TRANSPOSE_ROWS]
+            joined = "".join([format(m, spec) for m in reversed(block)])
+            columns = [c | int(joined[n - 1 - v::n], 2) << start for v, c in enumerate(columns)]
         self.rows = tuple(rows)
         self.universe = universe
         self.inc = {1 << v: column for v, column in enumerate(columns)}
@@ -264,43 +279,69 @@ class Cover:
         met once.  A superset mask is never the only such row, since the
         row inside it is met by the same two members.  Vertices are decided
         in order, include before exclude, so covers come up in
-        lexicographic order and the first one of the final size is kept.  A
-        member that lost every row with at most two hits can never become
-        necessary again, and a vertex in no row with fewer than two hits
-        cannot join.
+        lexicographic order and the first one of the final size is kept;
+        a branch is cut once it cannot beat that size.
+
+        The cut reads private rows.  A member's row that ends met exactly
+        twice is met at most twice now; if it is met twice, none of the
+        undecided vertices in it can join, and if once, just one can.  So
+        when every such row of some member holds so many undecided vertices
+        that the rest cannot lift the set above the best size, the branch
+        is cut; a member left with no such row, the case that ends every
+        branch once the set is a cover, is cut the same way.  The
+        undecided vertices are always the ones after the last decided one,
+        so one pass before the search finds, for every suffix of the vertex
+        order and every k, the rows that hold fewer than k of its vertices,
+        and each node tests each member with a few integer operations.
+        Vertices in no row still short of two hits cannot join and are
+        skipped, but the counts include them, which only weakens the cut.
         """
         inc, full = self.inc, self.full
+        tops = bits(self.universe)
+        rows_of = [inc[b] for b in tops]
+        m = len(tops)
+        # fewer[q][k]: the rows that hold fewer than k of the vertices
+        # tops[q:]; a node at q has chosen at most q vertices, so k never
+        # passes m + 1
+        held = [full] + [0] * (m + 1)  # rows holding at least k of them
+        fewer = [[]] * m
+        for q in range(m - 1, -1, -1):
+            x = rows_of[q]
+            for k in range(m - q, 0, -1):
+                held[k] |= held[k - 1] & x
+            fewer[q] = [~h for h in held]
         best_size = best = 0
 
-        def visit(chosen: int, free: int, h1: int, h2: int, h3: int, size: int) -> None:
-            # h1, h2, h3: rows that chosen meets at least once, twice, three times
+        def visit(chosen: int, members: tuple[int, ...], first: int,
+                  h1: int, h2: int, h3: int, size: int) -> None:
+            # members: the rows of each chosen vertex; h1, h2, h3: rows that
+            # chosen meets at least once, twice, three times; vertices
+            # before tops[first] are decided
             nonlocal best_size, best
-            if h2 == full:
-                if size > best_size:
-                    best_size, best = size, chosen
-                return
-            short = full & ~h2
-            useful = c1 = c2 = 0
-            f = free
-            while f:
-                low = f & -f
-                f ^= low
-                x = inc[low] & short
-                if x:
-                    useful |= low
-                    c2 |= c1 & x
-                    c1 |= x
-            if short & ~c1 or full & ~h1 & ~c2:
-                return  # some row can no longer reach two hits
-            if size + useful.bit_count() <= best_size:
-                return
-            low = useful & -useful
-            x = inc[low]
-            n3 = h3 | (h2 & x)
-            if all(inc[b] & ~n3 for b in bits(chosen)):
-                visit(chosen | low, useful & ~low, h1 | x, h2 | (h1 & x), n3, size + 1)
-            visit(chosen, useful & ~low, h1, h2, h3, size)
+            short, zero = full & ~h2, full & ~h1
+            once, twice = h1 & ~h2, h2 & ~h3
+            for q in range(first, m):
+                x = rows_of[q]
+                if not x & short:
+                    continue
+                lack = fewer[q]
+                if short & lack[1] or zero & lack[2]:
+                    return  # some row can no longer reach two hits
+                # a member's row keeps it necessary only if fewer than t of
+                # the undecided vertices lie in it (t + 1 when it is met once)
+                t = size + m - q - best_size
+                if t <= 0:
+                    return
+                keep = (twice & lack[t]) | (once & lack[t + 1])
+                for y in members:
+                    if not y & keep:
+                        return
+                n2, n3 = h2 | (h1 & x), h3 | (h2 & x)
+                if n2 != full:
+                    visit(chosen | tops[q], members + (x,), q + 1, h1 | x, n2, n3, size + 1)
+                elif size >= best_size and all(y & ~n3 for y in members):
+                    best_size, best = size + 1, chosen | tops[q]
 
-        visit(0, self.universe, 0, 0, 0, 0)
+        visit(0, (), 0, 0, 0, 0, 0)
         return best_size, best
 

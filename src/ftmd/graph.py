@@ -5,8 +5,9 @@ through a label table by the caller.  Construction validates the input
 and checks connectivity: fewer than n - 1 edges are refused at once, and
 otherwise one breadth-first search decides, so refusing an oversized graph
 costs O(n + m).  The all-pairs distance matrix is built on first use of
-``Graph.dist``, by breadth-first search from every vertex, and every other
-module reads it from that cached matrix.
+``Graph.dist``, by breadth-first search from every vertex but vertex 0,
+whose row the connectivity check already holds, and every other module
+reads it from that cached matrix.
 
 The distinguisher masks, which every search reads, are built from it in
 bulk: each distance row becomes one integer with a byte per vertex (wider
@@ -152,6 +153,9 @@ class Graph:
             tail = f" and {more} more" if more > 0 else ""
             raise DisconnectedInput(
                 f"vertices unreachable from 0: {missing[:UNREACHABLE_SHOWN]}{tail}")
+        # row 0 of ``dist``, shared with it; not a field, so equality,
+        # hashing and repr ignore it
+        object.__setattr__(self, "_row0", tuple(reached))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -182,7 +186,9 @@ class Graph:
 
     @cached_property
     def dist(self) -> DistanceMatrix:
-        return DistanceMatrix(tuple(tuple(self._bfs_row(s)) for s in range(self.n)))
+        rows = [self._row0]
+        rows += [tuple(self._bfs_row(s)) for s in range(1, self.n)]
+        return DistanceMatrix(tuple(rows))
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:

@@ -13,10 +13,11 @@ solved by the kernel in ``ftmd.cover`` on the distinct masks: minimum
 covers by raising the size from a packing bound with include/exclude
 branching on the scarcest mask, basis enumeration and membership with the
 same branching at the minimum size, and the largest minimal cover by a
-vertex-order search.  Ties are always broken toward the lexicographically
-smallest witness so outputs are deterministic.  The kernel remembers its
-minimum covers per demand on the distance matrix, so the searches that
-build on them solve them once per graph.
+vertex-order search cut with each member's private masks.  Ties are always
+broken toward the lexicographically smallest witness so outputs are
+deterministic.  The kernel remembers its minimum covers per demand on the
+distance matrix, so the searches that build on them solve them once per
+graph.
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ def fdim_plus(g: Graph, cap: int | None = None) -> FtReport:
     mask that the set meets exactly twice: dropping that member leaves the
     mask met once.  The search decides vertices in order on the distinct
     masks, include before exclude, and keeps the lexicographically first
-    set of the largest size.  It prunes a branch once a member has lost
-    every mask with at most two hits, skips vertices that lie in no mask
-    still short of two hits, and stops when the vertices left cannot lift
-    the set above the best size found.
+    set of the largest size.  It skips vertices that lie in no mask still
+    short of two hits, and cuts a branch when some member has no mask that
+    could still end met exactly twice with enough undecided vertices
+    outside it to lift the set above the best size found
+    (``Cover.largest_minimal``).
     """
     _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "minimal-set scan")
     value, witness = g.dist.cover.largest_minimal

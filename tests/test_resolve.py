@@ -350,6 +350,21 @@ def test_witnesses_match_reference_over_order_7_atlas(atlas_upto_7):
         first = bf.first_attaching_set(n, edges, at)
         rep = fdim_star(g, at)
         assert (rep.value, rep.witness) == (len(first), first), (edges, at)
+        first = bf.first_largest_minimal_ft_set(n, edges)
+        rep = fdim_plus(g)
+        assert (rep.value, rep.witness) == (len(first), first), edges
+
+
+def test_fdim_plus_witnesses_match_reference_at_orders_8_to_10():
+    # past the atlas: the private-row cut must keep the lexicographically
+    # first largest minimal set on random graphs of mixed density
+    rng = random.Random(17)
+    for n in (8, 9, 10):
+        for _ in range(15):
+            g = random_connected(rng, n)
+            first = bf.first_largest_minimal_ft_set(n, g.edges)
+            rep = fdim_plus(g)
+            assert (rep.value, rep.witness) == (len(first), first), g.edges
 
 
 def test_membership_and_theta_agree_with_enumeration():
