@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .cover import Cover, vertices
+from .cover import Cover
 from .errors import (
     AnchorReuseWithinPiece,
     InputFormatError,
@@ -33,18 +33,13 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    check_cap,
     graph_from_json_dict,
     graph_to_json_dict,
     is_even_graph,
     is_path_graph,
 )
-from .resolve import (
-    DEFAULT_ORACLE_CAP,
-    FtReport,
-    _check_cap,
-    _resolves,
-    _validated,
-)
+from .resolve import DEFAULT_ORACLE_CAP, FtReport, _resolves, _validated
 
 
 @dataclass(frozen=True)
@@ -165,10 +160,9 @@ def fdim_star(g: Graph, at: Iterable[int], cap: int | None = None) -> FtReport:
     set this degenerates to the plain fault-tolerant dimension, which
     keeps sums over anchor-free one-piece decompositions well defined.
     """
-    _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "anchored search")
+    check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "anchored search")
     at_mask = sum(1 << a for a in _validated(g.n, at))  # distinct anchors
-    value, witness = Cover(_missed(g, at_mask), ((1 << g.n) - 1) & ~at_mask).minimum(2)
-    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
+    return FtReport.from_search(Cover(_missed(g, at_mask), ((1 << g.n) - 1) & ~at_mask).minimum(2))
 
 
 def fdim_star_closed_form(family: str, n: int, anchors: Iterable[int]) -> int:
@@ -299,8 +293,11 @@ def decomposition_from_json(obj) -> Decomposition:
         if not isinstance(anchors_raw, dict):
             raise InputFormatError(f"piece {idx}: anchors must map vertex to name")
         try:
-            amap = {int(key): str(value) for key, value in anchors_raw.items()}
+            amap = {int(key): value for key, value in anchors_raw.items()}
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"piece {idx}: bad anchor key: {exc}") from exc
+        for name in amap.values():
+            if not isinstance(name, str):
+                raise InputFormatError(f"piece {idx}: anchor name {name!r} is not a string")
         spec.append((graph, amap))
     return point_attach(spec)

@@ -283,7 +283,7 @@ def cor8_check(g: Graph, h: Graph, v: int, cap: int | None = None) -> bool:
         raise PreconditionFailed(
             "cor8", (("root lies in no fault-tolerant basis of H", False),)
         )
-    composite = rooted_product(uniform_rooted_spec(g, h, v)).composite
+    composite = uniform_rooted_spec(g, h, v).decomposition.composite
     oracle = fdim(composite, cap=cap).value
     leaves = is_path_graph(h)
     path_with_inner_root = leaves is not None and v not in leaves
@@ -516,6 +516,8 @@ def random_decomposition(
         raise IllegalParameter(f"unknown generator condition {condition!r}")
     if condition is not None and k < 3:
         raise IllegalParameter(f"condition {condition!r} needs k >= 3, got {k}")
+    if k < 1:
+        raise IllegalParameter(f"need k >= 1 pieces, got {k}")
     # k pieces glued at k - 1 shared vertices, each of the smallest order
     least = _MIN_PIECE + (k - 1) * (_MIN_PIECE - 1)
     if max_order < least:
@@ -615,8 +617,10 @@ def decomposition_suite(
     condition: str | None = None,
 ) -> list[Decomposition]:
     """A reproducible batch of random decompositions (one shared rng stream)."""
-    rng = random.Random(seed)
     ks = list(k_choices)
+    if not ks or min(ks) < 1:
+        raise IllegalParameter(f"k_choices must be non-empty with every k >= 1, got {ks}")
+    rng = random.Random(seed)
     out = []
     while len(out) < count:
         out.append(random_decomposition(rng, rng.choice(ks), max_order, condition))

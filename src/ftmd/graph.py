@@ -10,9 +10,9 @@ whose row the connectivity check already holds, and every other module
 reads it from that cached matrix.
 
 The distinguisher masks, which every search reads, are built from it in
-bulk: each distance row becomes one integer with a byte per vertex (wider
-fields once the diameter reaches 256), and a pair's mask is read off the
-bytes of the XOR of its two rows.
+bulk: each byte plane of the distance rows (one plane below diameter 256)
+becomes one integer per row with a byte per vertex, a pair's mask is read
+off the bytes of the XOR of its two rows, and the planes' masks are OR-ed.
 """
 
 from __future__ import annotations
@@ -40,23 +40,12 @@ UNREACHABLE_SHOWN = 20  # unreachable vertices named in a DisconnectedInput mess
 NONZERO = b"0" + b"1" * 255
 
 
-def _wide_masks(rows: Sequence[Sequence[int]], width: int) -> list[int]:
-    """The pair masks, in pair order, with a ``width``-byte field per
-    vertex: each XOR is folded so that a field's lowest byte is non-zero
-    iff the field is, and only those bytes are read."""
-    n = len(rows)
-    packed = [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little")
-              for row in rows]
-    shifts = range(8, 8 * width, 8)
-    masks = []
-    for u, row_u in enumerate(packed):
-        for row_v in packed[u + 1:]:
-            x = low = row_u ^ row_v
-            for s in shifts:
-                low |= x >> s
-            digits = low.to_bytes(n * width, "big").translate(NONZERO)
-            masks.append(int(digits[width - 1::width], 2))
-    return masks
+def check_cap(n: int, cap: int | None, default: int | None, what: str) -> None:
+    """Refuse order n above cap, or above default when cap is None; a None
+    default leaves the computation uncapped."""
+    limit = default if cap is None else cap
+    if limit is not None and n > limit:
+        raise OrderCapExceeded(f"{what} capped at order {limit}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -90,21 +79,26 @@ class DistanceMatrix:
         are sorted by population count: the scarcest pairs fail fastest, and
         the two-vertex masks, exactly the twin pairs, come first.
 
-        Each distance row is packed into one integer with a byte per
-        vertex, vertex w in byte w.  The XOR of two packed rows is non-zero
-        in exactly the bytes of the vertices that tell the pair apart, so
-        its bytes, translated to binary digits, read back as the mask.
-        Field width follows the diameter: once it reaches 256, each vertex
-        takes as many bytes as the diameter needs (``_wide_masks``).
+        The distance rows are split into byte planes, low byte first; below
+        diameter 256 the one plane is the rows themselves.  Each plane packs
+        into one integer per row, vertex w in byte w, and the bytes of the
+        XOR of two packed rows, translated to binary digits, read back as
+        the pair's mask in that plane; later planes are OR-ed into the first.
         """
-        n = self.n
-        width = (self.diameter.bit_length() + 7) // 8
-        if width > 1:
-            masks = _wide_masks(self.rows, width)
-        else:
-            packed = [int.from_bytes(bytes(row), "little") for row in self.rows]
-            masks = [int((row_u ^ row_v).to_bytes(n, "big").translate(NONZERO), 2)
-                     for u, row_u in enumerate(packed) for row_v in packed[u + 1:]]
+        n, diameter = self.n, self.diameter
+        planes = [self.rows] if diameter < 256 else (
+            [bytes(x >> s & 255 for x in row) for row in self.rows]
+            for s in range(0, diameter.bit_length(), 8))
+        masks: list[int] = []
+        for plane in planes:
+            packed = [int.from_bytes(bytes(row), "little") for row in plane]
+            pairs = (int((row_u ^ row_v).to_bytes(n, "big").translate(NONZERO), 2)
+                     for u, row_u in enumerate(packed) for row_v in packed[u + 1:])
+            if masks:
+                for i, m in enumerate(pairs):
+                    masks[i] |= m
+            else:
+                masks = list(pairs)
         masks.sort(key=int.bit_count)
         return tuple(masks)
 
@@ -245,9 +239,7 @@ def is_vertex_transitive(g: Graph, cap: int | None = None) -> bool:
     small order cap; this is only meant to validate hypotheses at desk
     scale, not to serve as a general isomorphism engine.
     """
-    limit = VERTEX_TRANSITIVITY_CAP if cap is None else cap
-    if g.n > limit:
-        raise OrderCapExceeded(f"vertex-transitivity check capped at order {limit}, got {g.n}")
+    check_cap(g.n, cap, VERTEX_TRANSITIVITY_CAP, "vertex-transitivity check")
     profiles = {tuple(sorted(row)) for row in g.dist.rows}
     return len(profiles) == 1 and all(_automorphism_moving(g, 0, t) for t in range(1, g.n))
 

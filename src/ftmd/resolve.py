@@ -22,12 +22,13 @@ graph.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from .cover import vertices
-from .errors import InvalidVertexSet, OrderCapExceeded
-from .graph import DistanceMatrix, Graph
+from .errors import InvalidVertexSet
+from .graph import DistanceMatrix, Graph, check_cap
 
 DEFAULT_ORACLE_CAP = 16
 DEFAULT_LATTICE_CAP = 14
@@ -39,22 +40,28 @@ class FtReport:
 
     value: int
     witness: tuple[int, ...]
-    method: str
+    method: str = "oracle"
+
+    @classmethod
+    def from_search(cls, search: tuple[int, int]) -> FtReport:
+        """The report of a search's (size, witness mask)."""
+        value, witness = search
+        return cls(value, tuple(vertices(witness)))
+
+
+def _label(v) -> int:
+    """v as an integer label (``operator.index``); floats and strings are refused."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InvalidVertexSet(f"vertex label {v!r} is not an integer") from None
 
 
 def _validated(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
-    vs = tuple(sorted(set(int(v) for v in vertices)))
+    vs = tuple(sorted(set(map(_label, vertices))))
     if vs and not (0 <= vs[0] and vs[-1] < n):
         raise InvalidVertexSet(f"vertex set {vs} outside 0..{n - 1}")
     return vs
-
-
-def _check_cap(n: int, cap: int | None, default: int | None, what: str) -> None:
-    """Refuse order n above cap, or above default when cap is None; a None
-    default leaves the search uncapped."""
-    limit = default if cap is None else cap
-    if limit is not None and n > limit:
-        raise OrderCapExceeded(f"{what} capped at order {limit}, got {n}")
 
 
 def _resolves(d: DistanceMatrix, vs: Iterable[int]) -> bool:
@@ -100,9 +107,8 @@ def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
     just the pair, so it is among the smallest and is branched on first; no
     separate twin-class rule is needed.  It runs uncapped unless ``cap`` is given.
     """
-    _check_cap(g.n, cap, None, "resolving search")
-    value, witness = g.dist.cover.minimum(1)
-    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
+    check_cap(g.n, cap, None, "resolving search")
+    return FtReport.from_search(g.dist.cover.minimum(1))
 
 
 def fdim(g: Graph, cap: int | None = None) -> FtReport:
@@ -114,9 +120,8 @@ def fdim(g: Graph, cap: int | None = None) -> FtReport:
     are remembered per graph, and basis enumeration, membership and
     ``theta`` reuse the size.
     """
-    _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "fault-tolerant search")
-    value, witness = g.dist.cover.minimum(2)
-    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
+    check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "fault-tolerant search")
+    return FtReport.from_search(g.dist.cover.minimum(2))
 
 
 def enumerate_ft_bases(g: Graph, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -125,7 +130,7 @@ def enumerate_ft_bases(g: Graph, cap: int | None = None) -> tuple[tuple[int, ...
     One search at the minimum size that keeps every cover it reaches, with
     the branching and bounds of the minimum search.
     """
-    _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis enumeration")
+    check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis enumeration")
     value, _ = g.dist.cover.smallest(2)
     return tuple(tuple(vertices(b)) for b in g.dist.cover.all_covers(2, value))
 
@@ -143,9 +148,8 @@ def fdim_plus(g: Graph, cap: int | None = None) -> FtReport:
     outside it to lift the set above the best size found
     (``Cover.largest_minimal``).
     """
-    _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "minimal-set scan")
-    value, witness = g.dist.cover.largest_minimal
-    return FtReport(value=value, witness=tuple(vertices(witness)), method="oracle")
+    check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "minimal-set scan")
+    return FtReport.from_search(g.dist.cover.largest_minimal)
 
 
 def theta(g: Graph, at: Iterable[int], cap: int | None = None) -> int:
@@ -158,7 +162,7 @@ def theta(g: Graph, at: Iterable[int], cap: int | None = None) -> int:
     subset of a feasible anchor set is feasible, this finds the largest
     overlap without listing the bases.
     """
-    _check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "anchor-overlap scan")
+    check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "anchor-overlap scan")
     av = _validated(g.n, at)
     value, _ = g.dist.cover.smallest(2)
     if av and is_resolving(g.dist, av):
@@ -186,7 +190,8 @@ def in_some_ft_basis(g: Graph, v: int, cap: int | None = None) -> bool:
     """Whether vertex v appears in at least one fault-tolerant basis: one
     search for a minimum cover with v forced in, unless the cached witness
     already holds v."""
-    _check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis membership")
+    check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis membership")
+    v = _label(v)
     if not 0 <= v < g.n:
         raise InvalidVertexSet(f"vertex {v} outside 0..{g.n - 1}")
     value, witness = g.dist.cover.smallest(2)

@@ -12,6 +12,7 @@ import bruteforce as bf
 from conftest import connected_graphs, random_connected
 from ftmd import (
     AnchorReuseWithinPiece,
+    InvalidVertexSet,
     NonTreeAttachment,
     OverlapError,
     UnsupportedConfiguration,
@@ -207,6 +208,15 @@ class TestFdimStar:
 
     def test_complete_large_anchor_set(self):
         assert fdim_star(complete_graph(6), (0, 1, 2, 3, 4)).value == 0
+
+    def test_two_byte_planes(self):
+        # diameter 299: the wide masks go through the anchored cover search
+        value = fdim_star(path_graph(300), [150], cap=300).value
+        assert value == fdim_star_closed_form("path", 300, [150]) == 2
+
+    def test_string_anchor_rejected(self):
+        with pytest.raises(InvalidVertexSet, match="is not an integer"):
+            fdim_star(cycle_graph(6), ["0"])
 
     def test_empty_anchor_set_degenerates_to_fdim(self):
         g = cycle_graph(6)

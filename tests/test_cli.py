@@ -381,6 +381,16 @@ class TestCompose:
         assert main(["compose", "--input", path, "--theorem", "prop7"]) == 1
         assert "root must be an integer" in capsys.readouterr().err.replace('"', "")
 
+    @pytest.mark.parametrize("name", [None, 5], ids=["null", "number"])
+    def test_non_string_anchor_name_is_refused(self, tmp_path, capsys, name):
+        # str() would glue this anchor to a piece that declares "None" or "5"
+        triangle = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+        dec = {"pieces": [{**triangle, "anchors": {"0": name}},
+                          {**triangle, "anchors": {"0": str(name)}}]}
+        path = write_json(tmp_path, dec)
+        assert main(["compose", "--input", path, "--theorem", "thm2"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "is not a string")
+
     def test_malformed_spec(self, tmp_path, capsys):
         path = write_json(tmp_path, {"pieces": "nope"})
         code, _ = run(capsys, "compose", "--input", path, "--theorem", "thm2")

@@ -529,6 +529,18 @@ class TestRandomDecompositions:
             random_decomposition(rng, k, max_order, condition=condition)
         assert rng.getstate() == state  # refused before any draw
 
+    def test_refuses_no_pieces(self):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(IllegalParameter, match="k >= 1"):
+            random_decomposition(rng, 0, 10)
+        assert rng.getstate() == state  # refused before any draw
+
+    @pytest.mark.parametrize("ks", [[], [3, 0]], ids=["empty", "zero"])
+    def test_suite_refuses_bad_k_choices(self, ks):
+        with pytest.raises(IllegalParameter, match="k_choices"):
+            decomposition_suite(0, 3, ks, 14)
+
     def test_smallest_composite_order_builds(self):
         dec = random_decomposition(0, 3, 7, condition="thm2")
         assert dec.k == 3 and dec.composite.n == 7

@@ -136,12 +136,14 @@ class TestDistinguisherMasks:
         assert g.dist.distinguisher_masks == bf.distinguisher_masks(g.n, g.edges)
 
     def test_two_byte_fields(self):
-        # a diameter of 256 or more needs two bytes per vertex
+        # a diameter of 256 or more needs a second byte plane; P256, of
+        # diameter 255, is the widest path with one
         tail = 300  # a 6-cycle with a path of `tail` edges hung at vertex 5
         tadpole = build_graph(6 + tail, [(i, (i + 1) % 6) for i in range(6)]
                               + [(i, i + 1) for i in range(5, 5 + tail)])
-        for g in (path_graph(257), tadpole):
-            assert g.dist.diameter >= 256
+        assert path_graph(256).dist.diameter == 255
+        assert path_graph(257).dist.diameter == 256 and tadpole.dist.diameter > 256
+        for g in (path_graph(256), path_graph(257), tadpole):
             assert g.dist.distinguisher_masks == bf.distinguisher_masks(g.n, g.edges)
 
 

@@ -55,6 +55,12 @@ class TestIsResolving:
         with pytest.raises(InvalidVertexSet):
             is_resolving(path_graph(3).dist, ())
 
+    @pytest.mark.parametrize("labels", [[0.7, 1.2], ["0", "1"]], ids=["float", "string"])
+    def test_non_integer_labels_rejected(self, labels):
+        # int() would read these as {0, 1}, which resolves C6
+        with pytest.raises(InvalidVertexSet, match="is not an integer"):
+            is_resolving(cycle_graph(6).dist, labels)
+
 
 class TestIsFtResolving:
     def test_both_path_leaves(self):
@@ -134,6 +140,11 @@ class TestFdim:
 
     def test_method_tag(self):
         assert fdim(path_graph(4)).method == "oracle"
+
+    def test_two_byte_planes(self):
+        # diameter 299: the masks OR two byte planes before the search
+        rep = fdim(path_graph(300), cap=300)
+        assert (rep.value, rep.witness) == (2, (0, 299))
 
 
 class TestEnumerateBases:
@@ -245,6 +256,10 @@ class TestBasisMembership:
         assert in_some_ft_basis(g, 5)
         for v in range(1, 5):
             assert not in_some_ft_basis(g, v)
+
+    def test_non_integer_vertex_rejected(self):
+        with pytest.raises(InvalidVertexSet, match="is not an integer"):
+            in_some_ft_basis(path_graph(6), 2.5)
 
 
 @given(connected_graphs(max_n=7))
