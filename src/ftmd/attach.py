@@ -38,8 +38,10 @@ from .graph import (
     graph_to_json_dict,
     is_even_graph,
     is_path_graph,
+    label,
+    vertex_set,
 )
-from .resolve import DEFAULT_ORACLE_CAP, FtReport, _resolves, _validated
+from .resolve import DEFAULT_ORACLE_CAP, FtReport
 
 
 @dataclass(frozen=True)
@@ -88,13 +90,15 @@ def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decompositi
     edges: list[tuple[int, int]] = []
     next_id = 0
     for index, (piece, amap) in enumerate(spec):
-        items = sorted((int(local), str(name)) for local, name in amap.items())
+        items = sorted((label(local), name) for local, name in amap.items())
+        for local, name in items:
+            if not isinstance(name, str):
+                raise InputFormatError(f"piece {index}: anchor name {name!r} is not a string")
+            if not 0 <= local < piece.n:
+                raise InputFormatError(f"piece {index}: anchor vertex {local} out of range")
         names = [name for _, name in items]
         if len(set(names)) != len(names):
             raise AnchorReuseWithinPiece(f"piece {index} declares an anchor name twice")
-        for local, _ in items:
-            if not 0 <= local < piece.n:
-                raise InputFormatError(f"piece {index}: anchor vertex {local} out of range")
         shared = [name for name in names if name in known]
         if index > 0 and len(shared) != 1:
             raise NonTreeAttachment(
@@ -126,16 +130,16 @@ def is_attaching_ft_resolving(g: Graph, at: Iterable[int], f: Iterable[int]) -> 
     otherwise dropping any single member of f must leave f | at resolving.
     Anchors are never the failing element.
     """
-    av = _validated(g.n, at)
-    fv = _validated(g.n, f)
+    av = vertex_set(g.n, at)
+    fv = vertex_set(g.n, f)
     overlap = set(av) & set(fv)
     if overlap:
         raise OverlapError(f"candidate set touches anchors: {sorted(overlap)}")
     # the definition, on the rows of f | at; fdim_star searches its mask
     # form, which ``_missed`` derives
     if not fv:
-        return _resolves(g.dist, av)
-    return all(_resolves(g.dist, [v for v in av + fv if v != y]) for y in fv)
+        return g.dist.resolves(av)
+    return all(g.dist.resolves([v for v in av + fv if v != y]) for y in fv)
 
 
 def _missed(g: Graph, at_mask: int) -> list[int]:
@@ -161,7 +165,7 @@ def fdim_star(g: Graph, at: Iterable[int], cap: int | None = None) -> FtReport:
     keeps sums over anchor-free one-piece decompositions well defined.
     """
     check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "anchored search")
-    at_mask = sum(1 << a for a in _validated(g.n, at))  # distinct anchors
+    at_mask = sum(1 << a for a in vertex_set(g.n, at))  # distinct anchors
     return FtReport.from_search(Cover(_missed(g, at_mask), ((1 << g.n) - 1) & ~at_mask).minimum(2))
 
 
@@ -174,7 +178,7 @@ def fdim_star_closed_form(family: str, n: int, anchors: Iterable[int]) -> int:
     or an antipodal pair on an even cycle, and complete graphs pay the
     non-anchor count until n-1 anchors resolve everything.
     """
-    av = sorted(set(int(a) for a in anchors))
+    av = sorted(set(map(label, anchors)))
     if not av:
         raise UnsupportedConfiguration("need at least one anchor")
     if av[0] < 0 or av[-1] >= n:
@@ -201,7 +205,7 @@ def fdim_star_closed_form(family: str, n: int, anchors: Iterable[int]) -> int:
 
 
 def _c1_anchors(g: Graph, at: Iterable[int]) -> tuple[int, ...]:
-    av = _validated(g.n, at)
+    av = vertex_set(g.n, at)
     if not av:
         raise InvalidVertexSet("C1 needs a non-empty anchor set")
     return av
@@ -255,7 +259,7 @@ def c1_cases(g: Graph, at: Iterable[int]) -> tuple[int, ...]:
 
 def check_C2(g: Graph, at: Iterable[int]) -> bool:
     """Single anchor that is not the leaf of a path."""
-    av = _validated(g.n, at)
+    av = vertex_set(g.n, at)
     if len(av) != 1:
         return False
     leaves = is_path_graph(g)
@@ -296,8 +300,8 @@ def decomposition_from_json(obj) -> Decomposition:
             amap = {int(key): value for key, value in anchors_raw.items()}
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"piece {idx}: bad anchor key: {exc}") from exc
-        for name in amap.values():
-            if not isinstance(name, str):
-                raise InputFormatError(f"piece {idx}: anchor name {name!r} is not a string")
+        for key in anchors_raw:  # as decomposition_to_json writes it, not "1_0" or "01"
+            if str(int(key)) != key:
+                raise InputFormatError(f"piece {idx}: anchor key {key!r} is not plain decimal")
         spec.append((graph, amap))
     return point_attach(spec)

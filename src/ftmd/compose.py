@@ -26,7 +26,7 @@ from .attach import (
 )
 from .errors import IllegalParameter, InputFormatError, PreconditionFailed
 from .families import complete_graph, cycle_graph, path_graph, paw_graph, star_graph
-from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_int, is_path_graph
+from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_int, is_path_graph, label
 from .resolve import fdim, fdim_plus, in_some_ft_basis, is_ft_resolving, theta
 
 
@@ -176,7 +176,7 @@ class RootedPiece:
     root: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.root < self.graph.n:
+        if not 0 <= label(self.root) < self.graph.n:
             raise IllegalParameter(f"root {self.root} outside 0..{self.graph.n - 1}")
 
 

@@ -1,7 +1,8 @@
 """Immutable simple connected graphs with exact hop distances.
 
 Vertices are dense integer labels 0..n-1; external names should be mapped
-through a label table by the caller.  Construction validates the input
+through a label table by the caller.  ``label`` and ``vertex_set`` own the
+rule for labels (``operator.index``).  Construction validates the input
 and checks connectivity: fewer than n - 1 edges are refused at once, and
 otherwise one breadth-first search decides, so refusing an oversized graph
 costs O(n + m).  The all-pairs distance matrix is built on first use of
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Sequence
 
 from .cover import Cover
@@ -26,6 +28,7 @@ from .errors import (
     DisconnectedInput,
     DuplicateEdge,
     InputFormatError,
+    InvalidVertexSet,
     OrderCapExceeded,
     OrderTooSmall,
     SelfLoop,
@@ -38,6 +41,22 @@ UNREACHABLE_SHOWN = 20  # unreachable vertices named in a DisconnectedInput mess
 
 # byte 0 reads as the digit '0', every other byte as '1'
 NONZERO = b"0" + b"1" * 255
+
+
+def label(v) -> int:
+    """v as an integer label (``operator.index``); floats and strings are refused."""
+    try:
+        return index(v)
+    except TypeError:
+        raise InvalidVertexSet(f"vertex label {v!r} is not an integer") from None
+
+
+def vertex_set(n: int, vs: Iterable[int]) -> tuple[int, ...]:
+    """The distinct labels of vs in ascending order, all inside 0..n-1."""
+    out = tuple(sorted(set(map(label, vs))))
+    if out and not (0 <= out[0] and out[-1] < n):
+        raise InvalidVertexSet(f"vertex set {out} outside 0..{n - 1}")
+    return out
 
 
 def check_cap(n: int, cap: int | None, default: int | None, what: str) -> None:
@@ -60,6 +79,10 @@ class DistanceMatrix:
 
     def d(self, u: int, w: int) -> int:
         return self.rows[u][w]
+
+    def resolves(self, vs: Iterable[int]) -> bool:
+        """Whether the distance vectors against the vertices vs are pairwise distinct."""
+        return len(set(zip(*[self.rows[v] for v in vs]))) == self.n
 
     @cached_property
     def eccentricities(self) -> tuple[int, ...]:
@@ -188,10 +211,13 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and build an immutable connected graph from vertex pairs.
 
-    Every endpoint goes through ``int()``; the parsers below, the family
-    generators and ``point_attach`` already hold ``int`` pairs, so they
-    construct the ``Graph`` directly."""
-    return Graph(int(n), tuple((int(u), int(v)) for u, v in edges))
+    The order and the endpoints follow the ``label`` rule, inlined; the parsers,
+    the family generators and ``point_attach`` build ``Graph`` from int pairs."""
+    try:
+        n, pairs = index(n), tuple((index(u), index(v)) for u, v in edges)
+    except TypeError as exc:
+        raise InvalidVertexSet(f"graph labels must be integers: {exc}") from None
+    return Graph(n, pairs)
 
 
 def is_even_graph(d: DistanceMatrix) -> bool:

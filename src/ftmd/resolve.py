@@ -22,13 +22,12 @@ graph.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 from .cover import vertices
 from .errors import InvalidVertexSet
-from .graph import DistanceMatrix, Graph, check_cap
+from .graph import DistanceMatrix, Graph, check_cap, vertex_set
 
 DEFAULT_ORACLE_CAP = 16
 DEFAULT_LATTICE_CAP = 14
@@ -49,36 +48,15 @@ class FtReport:
         return cls(value, tuple(vertices(witness)))
 
 
-def _label(v) -> int:
-    """v as an integer label (``operator.index``); floats and strings are refused."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise InvalidVertexSet(f"vertex label {v!r} is not an integer") from None
-
-
-def _validated(n: int, vertices: Iterable[int]) -> tuple[int, ...]:
-    vs = tuple(sorted(set(map(_label, vertices))))
-    if vs and not (0 <= vs[0] and vs[-1] < n):
-        raise InvalidVertexSet(f"vertex set {vs} outside 0..{n - 1}")
-    return vs
-
-
-def _resolves(d: DistanceMatrix, vs: Iterable[int]) -> bool:
-    """True when the distance vectors against the vertices vs, read off
-    their rows, are pairwise distinct; False for no vertices."""
-    return len(set(zip(*[d.rows[v] for v in vs]))) == d.n
-
-
 def is_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
     """True when the distance vectors against s are pairwise distinct.
 
     Reads the |s| rows of s, not the distinguisher masks: O(n |s|).
     """
-    sv = _validated(d.n, s)
+    sv = vertex_set(d.n, s)
     if not sv:
         raise InvalidVertexSet("a resolving set must be non-empty")
-    return _resolves(d, sv)
+    return d.resolves(sv)
 
 
 def is_ft_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
@@ -89,10 +67,10 @@ def is_ft_resolving(d: DistanceMatrix, s: Iterable[int]) -> bool:
     composition rules check (n <= 24), though s = V on P300 takes about
     0.4 s, more than building and testing the masks.
     """
-    sv = _validated(d.n, s)
+    sv = vertex_set(d.n, s)
     if len(sv) < 2:
         raise InvalidVertexSet("a fault-tolerant resolving set needs at least 2 vertices")
-    return all(_resolves(d, sv[:i] + sv[i + 1:]) for i in range(len(sv)))
+    return all(d.resolves(sv[:i] + sv[i + 1:]) for i in range(len(sv)))
 
 
 def metric_dimension(g: Graph, cap: int | None = None) -> FtReport:
@@ -163,9 +141,9 @@ def theta(g: Graph, at: Iterable[int], cap: int | None = None) -> int:
     overlap without listing the bases.
     """
     check_cap(g.n, cap, DEFAULT_LATTICE_CAP, "anchor-overlap scan")
-    av = _validated(g.n, at)
+    av = vertex_set(g.n, at)
     value, _ = g.dist.cover.smallest(2)
-    if av and is_resolving(g.dist, av):
+    if g.dist.resolves(av):
         return value
     cover = g.dist.cover
     best = 0
@@ -191,8 +169,6 @@ def in_some_ft_basis(g: Graph, v: int, cap: int | None = None) -> bool:
     search for a minimum cover with v forced in, unless the cached witness
     already holds v."""
     check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis membership")
-    v = _label(v)
-    if not 0 <= v < g.n:
-        raise InvalidVertexSet(f"vertex {v} outside 0..{g.n - 1}")
+    (v,) = vertex_set(g.n, (v,))
     value, witness = g.dist.cover.smallest(2)
     return bool(witness >> v & 1) or g.dist.cover.find(2, value, chosen=1 << v) is not None

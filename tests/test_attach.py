@@ -12,6 +12,7 @@ import bruteforce as bf
 from conftest import connected_graphs, random_connected
 from ftmd import (
     AnchorReuseWithinPiece,
+    InputFormatError,
     InvalidVertexSet,
     NonTreeAttachment,
     OverlapError,
@@ -64,6 +65,12 @@ class TestPointAttach:
     def test_single_piece_with_declared_anchor(self):
         dec = point_attach([(cycle_graph(6), {0: "a"})])
         assert dec.at_local(0) == (0,)
+
+    @pytest.mark.parametrize("name", [None, 5], ids=["none", "number"])
+    def test_non_string_anchor_name_is_refused(self, name):
+        # str() would glue this anchor to the first piece's "None" or "5"
+        with pytest.raises(InputFormatError, match="^piece 1: anchor name .* is not a string$"):
+            point_attach([(complete_graph(3), {0: str(name)}), (complete_graph(3), {1: name})])
 
     def test_anchor_reuse_within_piece(self):
         with pytest.raises(AnchorReuseWithinPiece):
@@ -357,8 +364,6 @@ class TestDecompositionJson:
         assert again.anchor_maps == dec.anchor_maps
 
     def test_schema_errors(self):
-        from ftmd import InputFormatError
-
         with pytest.raises(InputFormatError):
             decomposition_from_json({"nope": []})
         with pytest.raises(InputFormatError):

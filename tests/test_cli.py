@@ -391,6 +391,28 @@ class TestCompose:
         assert main(["compose", "--input", path, "--theorem", "thm2"]) == 1
         assert_one_error_line(capsys.readouterr().err, "is not a string")
 
+    @pytest.mark.parametrize("key", ["1_0", " 1", "+1", "01"])
+    def test_anchor_key_must_be_plain_decimal(self, tmp_path, capsys, key):
+        # int() reads each of these, "1_0" as vertex 10 of the 12-cycle
+        dec = {"pieces": [{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "anchors": {"0": "a"}},
+                          {"n": 12, "edges": [[i, (i + 1) % 12] for i in range(12)],
+                           "anchors": {key: "a"}}]}
+        path = write_json(tmp_path, dec)
+        assert main(["compose", "--input", path, "--theorem", "prop1"]) == 1
+        assert_one_error_line(capsys.readouterr().err,
+                              f"piece 1: anchor key {key!r} is not plain decimal")
+
+    def test_second_spelling_of_an_anchor_key_is_refused(self, tmp_path, capsys):
+        # "01" would replace anchor "a" of vertex 1, and piece 1 would then
+        # share no known anchor
+        triangle = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+        dec = {"pieces": [{**triangle, "anchors": {"1": "a", "01": "b"}},
+                          {**triangle, "anchors": {"0": "a"}},
+                          {**triangle, "anchors": {"0": "b"}}]}
+        path = write_json(tmp_path, dec)
+        assert main(["compose", "--input", path, "--theorem", "prop1"]) == 1
+        assert_one_error_line(capsys.readouterr().err, "anchor key '01' is not plain decimal")
+
     def test_malformed_spec(self, tmp_path, capsys):
         path = write_json(tmp_path, {"pieces": "nope"})
         code, _ = run(capsys, "compose", "--input", path, "--theorem", "thm2")

@@ -16,23 +16,37 @@ from ftmd import (
     Graph,
     GraphBuildError,
     InputFormatError,
+    InvalidVertexSet,
     OrderCapExceeded,
     OrderTooSmall,
+    RootedPiece,
     SelfLoop,
     VertexOutOfRange,
     build_graph,
+    c1_cases,
+    c1_violation,
+    check_C1,
+    check_C2,
     complete_graph,
     cycle_graph,
+    fdim_star,
+    fdim_star_closed_form,
     format_edge_list,
     graph_from_json_dict,
     hypercube_graph,
+    in_some_ft_basis,
+    is_attaching_ft_resolving,
     is_even_graph,
+    is_ft_resolving,
     is_path_graph,
+    is_resolving,
     is_vertex_transitive,
     parse_edge_list,
     path_graph,
     paw_graph,
+    point_attach,
     star_graph,
+    theta,
     twin_classes,
 )
 
@@ -102,6 +116,37 @@ class TestBuildGraph:
         assert bfs_rows == list(range(40))
         g.dist
         assert len(bfs_rows) == 40
+
+
+C6 = cycle_graph(6)
+
+# Every public entry point that takes a vertex or a vertex set, called with
+# the label x where it takes one.
+VERTEX_ENTRY_POINTS = {
+    "is_resolving": lambda x: is_resolving(C6.dist, [0, x]),
+    "is_ft_resolving": lambda x: is_ft_resolving(C6.dist, [0, 1, x]),
+    "theta": lambda x: theta(C6, [x]),
+    "in_some_ft_basis": lambda x: in_some_ft_basis(C6, x),
+    "fdim_star": lambda x: fdim_star(C6, [x]),
+    "is_attaching_ft_resolving at": lambda x: is_attaching_ft_resolving(C6, [x], [0]),
+    "is_attaching_ft_resolving f": lambda x: is_attaching_ft_resolving(C6, [0], [x]),
+    "check_C1": lambda x: check_C1(C6, [0, x]),
+    "c1_violation": lambda x: c1_violation(C6, [0, x]),
+    "c1_cases": lambda x: c1_cases(C6, [0, x]),
+    "check_C2": lambda x: check_C2(C6, [x]),
+    "fdim_star_closed_form": lambda x: fdim_star_closed_form("path", 6, [x]),
+    "point_attach": lambda x: point_attach([(C6, {x: "a"})]),
+    "RootedPiece": lambda x: RootedPiece(C6, x),
+    "build_graph": lambda x: build_graph(3, [(0, 1), (1, x)]),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, "1"], ids=["float", "string"])
+@pytest.mark.parametrize("call", VERTEX_ENTRY_POINTS.values(), ids=VERTEX_ENTRY_POINTS)
+def test_every_vertex_entry_point_refuses_non_integer_labels(call, bad):
+    call(2)  # the same call on an integer label goes through
+    with pytest.raises(InvalidVertexSet, match="integer"):
+        call(bad)
 
 
 class TestDistances:
