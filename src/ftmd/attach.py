@@ -34,6 +34,7 @@ from .errors import (
 from .graph import (
     Graph,
     check_cap,
+    decimal_label,
     graph_from_json_dict,
     graph_to_json_dict,
     is_even_graph,
@@ -64,13 +65,6 @@ class Decomposition:
     def at_global(self, i: int) -> frozenset[int]:
         ids = self.global_ids[i]
         return frozenset(ids[local] for local, _ in self.anchor_maps[i])
-
-    @property
-    def attachment_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for i in range(self.k):
-            out |= self.at_global(i)
-        return frozenset(out)
 
     def piece_role(self, i: int) -> str:
         count = len(self.anchor_maps[i])
@@ -296,12 +290,7 @@ def decomposition_from_json(obj) -> Decomposition:
         anchors_raw = entry.get("anchors", {})
         if not isinstance(anchors_raw, dict):
             raise InputFormatError(f"piece {idx}: anchors must map vertex to name")
-        try:
-            amap = {int(key): value for key, value in anchors_raw.items()}
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"piece {idx}: bad anchor key: {exc}") from exc
-        for key in anchors_raw:  # as decomposition_to_json writes it, not "1_0" or "01"
-            if str(int(key)) != key:
-                raise InputFormatError(f"piece {idx}: anchor key {key!r} is not plain decimal")
+        amap = {decimal_label(key, f"piece {idx}: anchor key"): value
+                for key, value in anchors_raw.items()}
         spec.append((graph, amap))
     return point_attach(spec)

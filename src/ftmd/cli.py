@@ -20,7 +20,7 @@ from .attach import decomposition_to_json, fdim_star
 from .compose import RULES, TheoremResult, VerifyReport, decomposition_suite, verify
 from .errors import FtmdError, InputFormatError, OrderCapExceeded, PreconditionFailed
 from .families import FAMILY_NAMES, generate
-from .graph import Graph, format_edge_list, graph_from_json_dict, parse_edge_list
+from .graph import Graph, decimal_label, format_edge_list, graph_from_json_dict, parse_edge_list
 from .resolve import FtReport, fdim, fdim_plus, metric_dimension, theta
 
 EXIT_OK = 0
@@ -194,10 +194,8 @@ def _failure_payload(exc: PreconditionFailed) -> dict:
 def cmd_compute(ns: argparse.Namespace) -> int:
     anchors = None
     if ns.at is not None:
-        try:
-            anchors = tuple(int(x) for x in str(ns.at).replace(",", " ").split())
-        except ValueError as exc:
-            raise InputFormatError(f"bad --at value: {exc}") from exc
+        anchors = tuple(decimal_label(x, "--at vertex")
+                        for x in str(ns.at).replace(",", " ").split())
     g = _load_graph(ns)
     needs_at, search = INVARIANTS[ns.invariant]
     if needs_at != (anchors is not None):

@@ -2,7 +2,8 @@
 
 Vertices are dense integer labels 0..n-1; external names should be mapped
 through a label table by the caller.  ``label`` and ``vertex_set`` own the
-rule for labels (``operator.index``).  Construction validates the input
+rule for labels (``operator.index``, bools refused) and ``decimal_label``
+the rule for text (plain decimal).  Construction validates the input
 and checks connectivity: fewer than n - 1 edges are refused at once, and
 otherwise one breadth-first search decides, so refusing an oversized graph
 costs O(n + m).  The all-pairs distance matrix is built on first use of
@@ -35,7 +36,6 @@ from .errors import (
     VertexOutOfRange,
 )
 
-VERTEX_TRANSITIVITY_CAP = 12
 UNREACHABLE_SHOWN = 20  # unreachable vertices named in a DisconnectedInput message
 
 
@@ -44,11 +44,27 @@ NONZERO = b"0" + b"1" * 255
 
 
 def label(v) -> int:
-    """v as an integer label (``operator.index``); floats and strings are refused."""
+    """v as an integer label (``operator.index``); floats, strings and bools
+    are refused, the last as ``is_int`` refuses JSON's ``true``."""
+    if v.__class__ is not bool:
+        try:
+            return index(v)
+        except TypeError:
+            pass
+    raise InvalidVertexSet(f"vertex label {v!r} is not an integer")
+
+
+def decimal_label(token: str, what: str) -> int:
+    """token as the integer it spells in plain decimal, as ``str`` writes it
+    ("10", "-4"); "01", "+1", "1_0", " 1", non-ASCII digits and other text
+    are refused as "<what> <token!r> is not plain decimal"."""
     try:
-        return index(v)
-    except TypeError:
-        raise InvalidVertexSet(f"vertex label {v!r} is not an integer") from None
+        v = int(token)
+        if str(v) == token:
+            return v
+    except (TypeError, ValueError):
+        pass
+    raise InputFormatError(f"{what} {token!r} is not plain decimal")
 
 
 def vertex_set(n: int, vs: Iterable[int]) -> tuple[int, ...]:
@@ -211,8 +227,9 @@ class Graph:
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Validate and build an immutable connected graph from vertex pairs.
 
-    The order and the endpoints follow the ``label`` rule, inlined; the parsers,
-    the family generators and ``point_attach`` build ``Graph`` from int pairs."""
+    The order and the endpoints go through ``operator.index``, inlined, so a
+    bool is stored as the int 0 or 1; the parsers, the family generators and
+    ``point_attach`` build ``Graph`` from int pairs."""
     try:
         n, pairs = index(n), tuple((index(u), index(v)) for u, v in edges)
     except TypeError as exc:
@@ -233,77 +250,6 @@ def is_path_graph(g: Graph) -> tuple[int, int] | None:
     if len(leaves) == 2 and all(k <= 2 for k in degs):
         return leaves[0], leaves[1]
     return None
-
-
-def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Partition the vertices into maximal classes of mutual twins.
-
-    Two vertices are twins when every third vertex sits at the same
-    distance from both, so nothing except the pair itself can tell them
-    apart: their distinguisher mask holds just the two of them.  Twinness
-    is an equivalence relation (Hernando, Mora, Pelayo, Seara & Wood 2010),
-    so a vertex's smallest twin names its class.  Non-twin vertices come
-    back as singleton classes, and classes are ordered by smallest member.
-    """
-    first = list(range(g.n))
-    for m in g.dist.distinguisher_masks:
-        if m.bit_count() > 2:
-            break  # masks are sorted by size, so no twin pairs follow
-        v = m.bit_length() - 1
-        first[v] = min(first[v], (m & -m).bit_length() - 1)
-    groups: dict[int, list[int]] = {}
-    for v, r in enumerate(first):
-        groups.setdefault(r, []).append(v)
-    return tuple(tuple(c) for c in groups.values())
-
-
-def is_vertex_transitive(g: Graph, cap: int | None = None) -> bool:
-    """Exhaustive automorphism search, pruned by distance profiles.
-
-    The graph is vertex-transitive iff for every target vertex there is an
-    adjacency-preserving bijection moving vertex 0 onto it.  Kept behind a
-    small order cap; this is only meant to validate hypotheses at desk
-    scale, not to serve as a general isomorphism engine.
-    """
-    check_cap(g.n, cap, VERTEX_TRANSITIVITY_CAP, "vertex-transitivity check")
-    profiles = {tuple(sorted(row)) for row in g.dist.rows}
-    return len(profiles) == 1 and all(_automorphism_moving(g, 0, t) for t in range(1, g.n))
-
-
-def _automorphism_moving(g: Graph, src: int, dst: int) -> bool:
-    """Backtracking search for a distance-preserving bijection with src -> dst."""
-    n = g.n
-    rows = g.dist.rows
-    # by distance from src, ties by label; the order only affects pruning
-    order = sorted(range(n), key=lambda v: (rows[src][v], v))
-    image = [-1] * n
-    used = [False] * n
-    image[src] = dst
-    used[dst] = True
-
-    def extend(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        for c in range(n):
-            if used[c]:
-                continue
-            ok = True
-            for j in range(idx):
-                w = order[j]
-                if rows[v][w] != rows[c][image[w]]:
-                    ok = False
-                    break
-            if ok:
-                image[v] = c
-                used[c] = True
-                if extend(idx + 1):
-                    return True
-                used[c] = False
-                image[v] = -1
-        return False
-
-    return extend(1)
 
 
 # --- edge-list text format -------------------------------------------------

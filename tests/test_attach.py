@@ -44,14 +44,14 @@ class TestPointAttach:
             (complete_graph(3), {0: "a"}),
         ])
         assert dec.composite.n == 5
-        assert dec.attachment_vertices == {0}
+        assert frozenset().union(*map(dec.at_global, range(dec.k))) == {0}
         assert dec.at_global(0) == dec.at_global(1) == frozenset({0})
 
     def test_figure2_composite(self):
         dec = figure2_decomposition()
         assert dec.k == 5
         assert dec.composite.n == 20  # 24 piece vertices minus 4 identifications
-        assert len(dec.attachment_vertices) == 4
+        assert len(frozenset().union(*map(dec.at_global, range(dec.k)))) == 4
         assert [dec.piece_role(i) for i in range(5)] == [
             "end", "internal", "end", "internal", "end",
         ]
@@ -59,7 +59,7 @@ class TestPointAttach:
     def test_single_piece_without_anchors(self):
         dec = point_attach([(cycle_graph(6), {})])
         assert dec.composite.edges == cycle_graph(6).edges
-        assert dec.attachment_vertices == frozenset()
+        assert frozenset().union(*map(dec.at_global, range(dec.k))) == frozenset()
         assert dec.piece_role(0) == "unattached"
 
     def test_single_piece_with_declared_anchor(self):

@@ -84,6 +84,24 @@ class TestCompute:
         assert code == 0
         assert json.loads(out)["value"] == 1
 
+    @pytest.mark.parametrize("at", ["0_1", "01", "+1", "٣"])
+    def test_at_vertex_must_be_plain_decimal(self, tmp_path, capsys, at):
+        # int() reads each of these, "0_1" as vertex 1 and the Arabic-Indic
+        # digit three as vertex 3; anchor keys in JSON follow the same rule
+        path = write_graph(tmp_path, cycle_graph(8))
+        assert main(["compute", "--input", path, "--invariant", "fdim-star", "--at", at]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: --at vertex {at!r} is not plain decimal\n")
+
+    def test_at_vertices_split_on_commas_and_spaces(self, tmp_path, capsys):
+        path = write_graph(tmp_path, cycle_graph(8))
+        outputs = {run(capsys, "compute", "--input", path, "--invariant", "theta",
+                       "--at", at, "--output", "json") for at in ("0,4", "0 4", " 0, 4 ")}
+        assert len(outputs) == 1
+        code, out = outputs.pop()
+        assert code == 0 and json.loads(out)["anchors"] == [0, 4]
+
     def test_json_graph_input(self, tmp_path, capsys):
         path = write_json(tmp_path, {"n": 3, "edges": [[0, 1], [1, 2]]})
         code, out = run(capsys, "compute", "--input", path, "--format", "json",

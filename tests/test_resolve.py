@@ -29,7 +29,6 @@ from ftmd import (
     paw_graph,
     star_graph,
     theta,
-    twin_classes,
 )
 from ftmd.cover import Cover
 
@@ -304,7 +303,7 @@ def test_resolving_monotone_under_supersets(g):
 def test_twin_classes_forced_into_every_basis():
     for g in [star_graph(3), star_graph(5), complete_graph(4), complete_graph(6),
               cycle_graph(4), paw_graph()]:
-        classes = [set(c) for c in twin_classes(g) if len(c) >= 2]
+        classes = [set(c) for c in bf.twin_classes(g.n, g.edges) if len(c) >= 2]
         for basis in enumerate_ft_bases(g):
             for cls in classes:
                 assert cls <= set(basis)
