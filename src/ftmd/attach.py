@@ -35,10 +35,11 @@ from .graph import (
     Graph,
     check_cap,
     decimal_label,
-    graph_from_json_dict,
     graph_to_json_dict,
     is_even_graph,
     is_path_graph,
+    json_fields,
+    json_graph,
     label,
     vertex_set,
 )
@@ -265,7 +266,7 @@ def check_C2(g: Graph, at: Iterable[int]) -> bool:
 # { "pieces": [ { "n": int, "edges": [[u, v], ...],
 #                 "anchors": { "<local-vertex>": "<anchor-name>" } }, ... ] }
 #
-# Identification happens between equal anchor names across pieces.
+# "anchors" is optional.  Equal anchor names across pieces are identified.
 
 def decomposition_to_json(dec: Decomposition) -> dict:
     return {
@@ -280,17 +281,16 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 
 def decomposition_from_json(obj) -> Decomposition:
-    if not isinstance(obj, dict) or not isinstance(obj.get("pieces"), list):
+    (pieces,) = json_fields(obj, "decomposition JSON", ("pieces",))
+    if not isinstance(pieces, list):
         raise InputFormatError('decomposition JSON needs a "pieces" list')
     spec: list[tuple[Graph, dict[int, str]]] = []
-    for idx, entry in enumerate(obj["pieces"]):
-        if not isinstance(entry, dict):
-            raise InputFormatError(f"piece {idx} must be an object")
-        graph = graph_from_json_dict(entry)
-        anchors_raw = entry.get("anchors", {})
-        if not isinstance(anchors_raw, dict):
+    for idx, entry in enumerate(pieces):
+        n, edges, anchors = json_fields(entry, f"piece {idx}", ("n", "edges"), ("anchors",))
+        graph = json_graph(n, edges)
+        if not isinstance(anchors, dict | None):
             raise InputFormatError(f"piece {idx}: anchors must map vertex to name")
         amap = {decimal_label(key, f"piece {idx}: anchor key"): value
-                for key, value in anchors_raw.items()}
+                for key, value in (anchors or {}).items()}
         spec.append((graph, amap))
     return point_attach(spec)

@@ -26,7 +26,8 @@ from .attach import (
 )
 from .errors import IllegalParameter, InputFormatError, PreconditionFailed
 from .families import complete_graph, cycle_graph, path_graph, paw_graph, star_graph
-from .graph import Graph, graph_from_json_dict, graph_to_json_dict, is_int, is_path_graph, label
+from .graph import (Graph, graph_from_json_dict, graph_to_json_dict, is_int, is_path_graph,
+                    json_fields, label)
 from .resolve import fdim, fdim_plus, in_some_ft_basis, is_ft_resolving, theta
 
 
@@ -227,15 +228,17 @@ def cor5_fdim(spec: RootedProductSpec, cap: int | None = None) -> TheoremResult:
     for i, rp in enumerate(spec.family):
         checks.append((f"piece {i} satisfies C2 at its root", check_C2(rp.graph, (rp.root,))))
     checks = _require("cor5", checks)
-    per_piece: dict[RootedPiece, int] = {}
-    for rp in spec.family:
-        if rp not in per_piece:
-            value = fdim(rp.graph, cap=cap).value
-            if in_some_ft_basis(rp.graph, rp.root, cap=cap):
-                value -= 1
-            per_piece[rp] = value
+    per_piece = {rp: _rooted_term(rp, cap)[0] for rp in dict.fromkeys(spec.family)}
     components = tuple(per_piece[rp] for rp in spec.family)
     return TheoremResult("cor5", sum(components), checks, components=components)
+
+
+def _rooted_term(rp: RootedPiece, cap: int | None) -> tuple[int, bool]:
+    """A rooted piece's share of the product's dimension, fdim(H) less 1 when
+    the root lies in some fault-tolerant basis of H, and whether it does."""
+    value = fdim(rp.graph, cap=cap).value
+    in_basis = in_some_ft_basis(rp.graph, rp.root, cap=cap)
+    return value - in_basis, in_basis
 
 
 def _uniform_of(spec: RootedProductSpec) -> RootedPiece:
@@ -257,12 +260,9 @@ def prop7_fdim(spec: RootedProductSpec, cap: int | None = None) -> TheoremResult
             ("root inside H", 0 <= v < h.n),
         ],
     )
-    per_copy = fdim(h, cap=cap).value
-    if in_some_ft_basis(h, v, cap=cap):
-        per_copy -= 1
-        detail = "case (ii): root lies in some fault-tolerant basis"
-    else:
-        detail = "case (i): root lies in no fault-tolerant basis"
+    per_copy, in_basis = _rooted_term(rp, cap)
+    detail = ("case (ii): root lies in some fault-tolerant basis" if in_basis
+              else "case (i): root lies in no fault-tolerant basis")
     return TheoremResult(
         "prop7",
         spec.base.n * per_copy,
@@ -347,29 +347,26 @@ def rooted_spec_to_json(spec: RootedProductSpec) -> dict:
     }
 
 
+def _rooted_piece(obj, what: str, *extra: str) -> tuple:
+    """A family entry's RootedPiece, then the values of its extra keys."""
+    graph, root, *rest = json_fields(obj, what, ("graph", "root", *extra))
+    if not is_int(root):
+        raise InputFormatError(f"{what}: root must be an integer")
+    return RootedPiece(graph_from_json_dict(graph), root), *rest
+
+
 def rooted_spec_from_json(obj) -> RootedProductSpec:
-    if not isinstance(obj, dict) or "base" not in obj or "family" not in obj:
-        raise InputFormatError('rooted-product JSON needs "base" and "family"')
-    base = graph_from_json_dict(obj["base"])
-    family = obj["family"]
+    base, family = json_fields(obj, "rooted-product JSON", ("base", "family"))
+    base = graph_from_json_dict(base)
     if isinstance(family, dict):
-        if family.get("copies") != "per-base-vertex":
+        piece, copies = _rooted_piece(family, "uniform family", "copies")
+        if copies != "per-base-vertex":
             raise InputFormatError('uniform family needs "copies": "per-base-vertex"')
-        piece = graph_from_json_dict(family.get("graph"))
-        root = family.get("root")
-        if not is_int(root):
-            raise InputFormatError('"root" must be an integer')
-        return uniform_rooted_spec(base, piece, root)
+        return RootedProductSpec(base, (piece,) * base.n)
     if not isinstance(family, list):
         raise InputFormatError('"family" must be a list or a uniform-copies object')
-    pieces = []
-    for idx, entry in enumerate(family):
-        if not isinstance(entry, dict) or "graph" not in entry or "root" not in entry:
-            raise InputFormatError(f'family entry {idx} needs "graph" and "root"')
-        if not is_int(entry["root"]):
-            raise InputFormatError(f"family entry {idx}: root must be an integer")
-        pieces.append(RootedPiece(graph_from_json_dict(entry["graph"]), entry["root"]))
-    return RootedProductSpec(base, tuple(pieces))
+    return RootedProductSpec(base, tuple(_rooted_piece(entry, f"family entry {idx}")[0]
+                                         for idx, entry in enumerate(family)))
 
 
 # --- theorem registry --------------------------------------------------------

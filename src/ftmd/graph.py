@@ -297,21 +297,33 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def json_fields(obj, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> list:
+    """obj's values for required + optional, an absent optional key as None (so a
+    present one may not be null); a non-object, missing or unknown key is refused."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{what} must be an object")
+    if not all(k in obj for k in required):
+        raise InputFormatError(f"{what} needs " + " and ".join(f'"{k}"' for k in required))
+    for k, v in obj.items():
+        if k not in required and k not in optional:
+            raise InputFormatError(f"{what}: unknown key {k!r}")
+        if v is None and k in optional:
+            raise InputFormatError(f"{what}: {k!r} may not be null")
+    return [obj.get(k) for k in (*required, *optional)]
+
+
 def graph_from_json_dict(obj) -> Graph:
     """Build a Graph from a {"n": int, "edges": [[u, v], ...]} payload."""
-    if not isinstance(obj, dict):
-        raise InputFormatError("graph JSON must be an object")
-    if "n" not in obj or "edges" not in obj:
-        raise InputFormatError('graph JSON needs "n" and "edges"')
-    n = obj["n"]
-    edges = obj["edges"]
+    return json_graph(*json_fields(obj, "graph JSON", ("n", "edges")))
+
+
+def json_graph(n, edges) -> Graph:
+    """The Graph of a JSON payload's "n" and "edges" values."""
     if not is_int(n) or not isinstance(edges, list):
         raise InputFormatError('"n" must be an integer and "edges" a list')
-    pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InputFormatError(f"edge {e!r} is not a pair")
         if not (is_int(e[0]) and is_int(e[1])):
             raise InputFormatError(f"edge {e!r} needs integer endpoints")
-        pairs.append((e[0], e[1]))
-    return Graph(n, tuple(pairs))
+    return Graph(n, tuple(map(tuple, edges)))

@@ -72,6 +72,14 @@ class TestPointAttach:
         with pytest.raises(InputFormatError, match="^piece 1: anchor name .* is not a string$"):
             point_attach([(complete_graph(3), {0: str(name)}), (complete_graph(3), {1: name})])
 
+    def test_no_pieces_refused(self):
+        with pytest.raises(NonTreeAttachment, match="need at least one piece"):
+            point_attach([])
+
+    def test_anchor_vertex_out_of_range(self):
+        with pytest.raises(InputFormatError, match="piece 1: anchor vertex 3 out of range"):
+            point_attach([(complete_graph(3), {0: "a"}), (complete_graph(3), {3: "a"})])
+
     def test_anchor_reuse_within_piece(self):
         with pytest.raises(AnchorReuseWithinPiece):
             point_attach([(complete_graph(3), {0: "a", 1: "a"})])
@@ -299,8 +307,21 @@ class TestClosedForms:
         with pytest.raises(UnsupportedConfiguration):
             fdim_star_closed_form("path", 5, (9,))
 
+    @pytest.mark.parametrize("family, n, message", [
+        ("path", 1, "paths need n >= 2"),
+        ("cycle", 2, "cycles need n >= 3"),
+        ("complete", 1, "complete graphs need n >= 2"),
+    ])
+    def test_order_below_the_family_minimum(self, family, n, message):
+        with pytest.raises(UnsupportedConfiguration, match=message):
+            fdim_star_closed_form(family, n, (0,))
+
 
 class TestConditionC1:
+    def test_empty_anchor_set_refused(self):
+        with pytest.raises(InvalidVertexSet, match="C1 needs a non-empty anchor set"):
+            check_C1(cycle_graph(6), [])
+
     def test_all_vertices_anchored(self):
         assert check_C1(complete_graph(3), (0, 1, 2))
         assert 1 in c1_cases(complete_graph(3), (0, 1, 2))
@@ -372,3 +393,9 @@ class TestDecompositionJson:
             decomposition_from_json(
                 {"pieces": [{"n": 2, "edges": [[0, 1]], "anchors": {"x": "a"}}]}
             )
+
+    def test_anchors_may_be_left_out_but_not_null(self):
+        piece = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+        assert decomposition_from_json({"pieces": [piece]}).anchor_maps == ((),)
+        with pytest.raises(InputFormatError, match="piece 0: 'anchors' may not be null"):
+            decomposition_from_json({"pieces": [{**piece, "anchors": None}]})

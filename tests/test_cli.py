@@ -52,6 +52,9 @@ P2_P3_ROOTED_AT_2 = {
 }
 
 
+C4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+
+
 class TestCompute:
     def test_fdim_cycle(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(8))
@@ -153,6 +156,17 @@ class TestCompute:
             monkeypatch.setenv("FTMD_ORACLE_CAP", "6")
         assert main(argv) == 2
         assert "capped at order 6, got 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, env, message", [
+        (["--oracle-cap", "1"], None, "oracle cap must be >= 2, got 1"),
+        ([], "abc", "bad FTMD_ORACLE_CAP: invalid literal"),
+    ], ids=["flag-below-two", "env-not-a-number"])
+    def test_bad_oracle_cap(self, tmp_path, capsys, monkeypatch, flag, env, message):
+        if env is not None:
+            monkeypatch.setenv("FTMD_ORACLE_CAP", env)
+        path = write_graph(tmp_path, cycle_graph(4))
+        assert main(["compute", "--input", path, "--invariant", "fdim", *flag]) == 1
+        assert_one_error_line(capsys.readouterr().err, message)
 
     @pytest.mark.parametrize("invariant", ["fdim-star", "theta"])
     def test_anchor_out_of_range(self, tmp_path, capsys, invariant):
@@ -431,6 +445,15 @@ class TestCompose:
         assert main(["compose", "--input", path, "--theorem", "prop1"]) == 1
         assert_one_error_line(capsys.readouterr().err, "anchor key '01' is not plain decimal")
 
+    def test_one_piece_c4_anchored_at_0(self, tmp_path, capsys):
+        # the correct spelling of the file that TestUnknownKeys misspells
+        path = write_json(tmp_path, {"pieces": [{**C4, "anchors": {"0": "a"}}]})
+        code, out = run(capsys, "compose", "--input", path, "--theorem", "prop1",
+                        "--output", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == 2 and payload["bounds"] == [2, 4]
+
     def test_malformed_spec(self, tmp_path, capsys):
         path = write_json(tmp_path, {"pieces": "nope"})
         code, _ = run(capsys, "compose", "--input", path, "--theorem", "thm2")
@@ -538,6 +561,10 @@ class TestVerify:
     def test_batch_count_below_one(self, capsys, count):
         assert main(["verify", "--theorem", "thm2", "--count", count]) == 1
         assert capsys.readouterr().err == f"error: --count must be >= 1, got {count}\n"
+
+    def test_needs_input_or_count(self, capsys):
+        assert main(["verify", "--theorem", "thm2"]) == 1
+        assert capsys.readouterr().err == "error: verify needs --input or --count\n"
 
     def test_batch_needs_a_batched_rule(self, capsys):
         code, _ = run(capsys, "verify", "--theorem", "blocks", "--count", "3")
@@ -707,3 +734,42 @@ class TestJsonRoundTrip:
         _, second = run(capsys, "compute", "--input", path, "--invariant", "fdim",
                         "--output", "json")
         assert first == second
+
+
+P2 = {"n": 2, "edges": [[0, 1]]}
+P3_ROOTED_AT_2 = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "root": 2}
+
+
+class TestUnknownKeys:
+    """A key outside its object's schema is refused with exit 1 at every
+    level, where it used to be ignored: a piece that spells "anchors" as
+    "anchor" was read as anchor-free, so prop1 printed 4 instead of 2."""
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (["compute", "--format", "json", "--invariant", "fdim"],
+         {**C4, "egdes": []}, "graph JSON: unknown key 'egdes'"),
+        (["compose", "--theorem", "prop1"],
+         {"pieces": [{**C4, "anchor": {"0": "a"}}]}, "piece 0: unknown key 'anchor'"),
+        (["compose", "--theorem", "prop1"],
+         {"pieces": [{**C4, "anchors": {"0": "a"}}], "name": "C4"},
+         "decomposition JSON: unknown key 'name'"),
+        (["compose", "--theorem", "prop9"],
+         {**P2_P3_ROOTED_AT_2, "theorem": "prop9"},
+         "rooted-product JSON: unknown key 'theorem'"),
+        (["compose", "--theorem", "prop9"],
+         {"base": P2, "family": [{**P3_ROOTED_AT_2, "copies": "per-base-vertex"}] * 2},
+         "family entry 0: unknown key 'copies'"),
+        (["compose", "--theorem", "prop9"],
+         {"base": P2, "family": {**P3_ROOTED_AT_2, "copies": "per-base-vertex", "count": 2}},
+         "uniform family: unknown key 'count'"),
+        (["compose", "--theorem", "prop9"],
+         {"base": {**P2, "anchors": {}}, "family": [P3_ROOTED_AT_2] * 2},
+         "graph JSON: unknown key 'anchors'"),
+    ], ids=["graph", "piece", "decomposition", "rooted-product", "family-entry",
+            "uniform-family", "base-graph"])
+    def test_unknown_key_is_refused(self, tmp_path, capsys, argv, payload, message):
+        path = write_json(tmp_path, payload)
+        assert main([*argv, "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, message)

@@ -238,6 +238,10 @@ class TestRootedProduct:
         assert dec.piece_role(0) == "internal"
         assert all(dec.piece_role(i) == "end" for i in range(1, dec.k))
 
+    def test_root_outside_the_piece(self):
+        with pytest.raises(IllegalParameter, match=r"root 5 outside 0\.\.2"):
+            RootedPiece(path_graph(3), 5)
+
     def test_family_size_must_match_base(self):
         with pytest.raises(IllegalParameter):
             RootedProductSpec(path_graph(3), (RootedPiece(cycle_graph(5), 0),))
@@ -310,8 +314,27 @@ class TestCor5:
         assert len(searched) == 2
         assert res.components == (2, 3, 2) and res.value == 7
 
+    def test_distinct_pieces_searched_in_first_seen_order(self, monkeypatch):
+        import ftmd.compose as compose_mod
+
+        searched = []
+        real = compose_mod.fdim
+        monkeypatch.setattr(compose_mod, "fdim",
+                            lambda g, cap=None: searched.append(g) or real(g, cap=cap))
+        family = (RootedPiece(star_graph(3), 0), RootedPiece(cycle_graph(5), 0),
+                  RootedPiece(star_graph(3), 0), RootedPiece(complete_graph(4), 0))
+        res = cor5_fdim(RootedProductSpec(path_graph(4), family))
+        assert searched == [star_graph(3), cycle_graph(5), complete_graph(4)]
+        assert res.components == (3, 2, 3, 3)
+
 
 class TestProp7:
+    def test_non_uniform_family_refused(self):
+        spec = RootedProductSpec(path_graph(2), (RootedPiece(cycle_graph(5), 0),
+                                                 RootedPiece(star_graph(3), 0)))
+        with pytest.raises(IllegalParameter, match="one isomorphic rooted piece"):
+            prop7_fdim(spec)
+
     def test_star_root_in_no_basis(self):
         res = prop7_fdim(uniform_rooted_spec(path_graph(2), star_graph(3), 0))
         assert res.value == 6
@@ -450,6 +473,11 @@ class TestVerify:
         rep = verify(cycle_with_triangle_tail(), theorem, oracle_cap=21, relaxed_cor3=relaxed)
         assert rep.ok
         assert rep.formula_value == rep.oracle_value == 4
+
+    def test_rule_on_the_other_input_kind(self):
+        spec = uniform_rooted_spec(path_graph(2), path_graph(3), 0)
+        with pytest.raises(IllegalParameter, match="thm2 verifies a decomposition"):
+            verify(spec, "thm2")
 
     def test_prop9_non_path_piece(self):
         spec = uniform_rooted_spec(cycle_graph(4), complete_graph(3), 0)

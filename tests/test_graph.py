@@ -46,6 +46,7 @@ from ftmd import (
     star_graph,
     theta,
 )
+from ftmd.graph import json_fields
 
 
 class TestBuildGraph:
@@ -347,6 +348,24 @@ class TestEdgeListFormat:
         # isinstance(True, int) holds, and True would build a 1-vertex graph
         with pytest.raises(InputFormatError, match='"n" must be an integer'):
             graph_from_json_dict({"n": True, "edges": []})
+
+
+class TestJsonFields:
+    """The one reader of a JSON object's keys."""
+
+    @pytest.mark.parametrize("obj, message", [
+        ([4], "graph JSON must be an object"),
+        ({"n": 4}, 'graph JSON needs "n" and "edges"'),
+        ({"n": 2, "edges": [[0, 1]], "m": 1}, "graph JSON: unknown key 'm'"),
+    ], ids=["not-an-object", "missing-key", "unknown-key"])
+    def test_graph_shape_refusals(self, obj, message):
+        with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+            graph_from_json_dict(obj)
+
+    def test_values_in_key_order_with_absent_optional_as_none(self):
+        obj = {"b": 2, "a": 1}
+        assert json_fields(obj, "x", ("a", "b"), ("c",)) == [1, 2, None]
+        assert json_fields({**obj, "c": 3}, "x", ("a", "b"), ("c",)) == [1, 2, 3]
 
 
 def _parse_both(tmp_path, n, edges):
