@@ -134,9 +134,20 @@ def _load_graph(ns: argparse.Namespace) -> Graph:
     return parse_edge_list(_read_text(ns.input))
 
 
+def _json_object(pairs: list) -> dict:
+    """A decoded JSON object, refused when a key repeats (``json.loads``
+    would keep its last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputFormatError(f"repeated key {key!r}")
+    return obj
+
+
 def _load_json(path: str):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path), object_pairs_hook=_json_object)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep to decode
         raise InputFormatError(f"{path}: bad JSON: {exc}") from exc
 
@@ -196,6 +207,8 @@ def cmd_compute(ns: argparse.Namespace) -> int:
     if ns.at is not None:
         anchors = tuple(decimal_label(x, "--at vertex")
                         for x in str(ns.at).replace(",", " ").split())
+        if not anchors or len(set(anchors)) < len(anchors):
+            raise InputFormatError(f"--at needs one or more distinct vertices, got {ns.at!r}")
     g = _load_graph(ns)
     needs_at, search = INVARIANTS[ns.invariant]
     if needs_at != (anchors is not None):

@@ -26,8 +26,7 @@ from .attach import (
 )
 from .errors import IllegalParameter, InputFormatError, PreconditionFailed
 from .families import complete_graph, cycle_graph, path_graph, paw_graph, star_graph
-from .graph import (Graph, graph_from_json_dict, graph_to_json_dict, is_int, is_path_graph,
-                    json_fields, label)
+from .graph import Graph, graph_to_json_dict, is_path_graph, json_fields, json_graph, label
 from .resolve import fdim, fdim_plus, in_some_ft_basis, is_ft_resolving, theta
 
 
@@ -350,14 +349,13 @@ def rooted_spec_to_json(spec: RootedProductSpec) -> dict:
 def _rooted_piece(obj, what: str, *extra: str) -> tuple:
     """A family entry's RootedPiece, then the values of its extra keys."""
     graph, root, *rest = json_fields(obj, what, ("graph", "root", *extra))
-    if not is_int(root):
-        raise InputFormatError(f"{what}: root must be an integer")
-    return RootedPiece(graph_from_json_dict(graph), root), *rest
+    graph = json_graph(*json_fields(graph, f"{what} graph", ("n", "edges")))
+    return RootedPiece(graph, root), *rest
 
 
 def rooted_spec_from_json(obj) -> RootedProductSpec:
     base, family = json_fields(obj, "rooted-product JSON", ("base", "family"))
-    base = graph_from_json_dict(base)
+    base = json_graph(*json_fields(base, "base", ("n", "edges")))
     if isinstance(family, dict):
         piece, copies = _rooted_piece(family, "uniform family", "copies")
         if copies != "per-base-vertex":

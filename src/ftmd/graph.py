@@ -3,13 +3,13 @@
 Vertices are dense integer labels 0..n-1; external names should be mapped
 through a label table by the caller.  ``label`` and ``vertex_set`` own the
 rule for labels (``operator.index``, bools refused) and ``decimal_label``
-the rule for text (plain decimal).  Construction validates the input
-and checks connectivity: fewer than n - 1 edges are refused at once, and
-otherwise one breadth-first search decides, so refusing an oversized graph
-costs O(n + m).  The all-pairs distance matrix is built on first use of
-``Graph.dist``, by breadth-first search from every vertex but vertex 0,
-whose row the connectivity check already holds, and every other module
-reads it from that cached matrix.
+the rule for text (plain decimal).  Construction reads the order and the
+endpoints by ``label`` and checks connectivity: fewer than n - 1 edges are
+refused at once, and otherwise one breadth-first search decides, so
+refusing an oversized graph costs O(n + m).  The all-pairs distance matrix
+is built on first use of ``Graph.dist``, by breadth-first search from every
+vertex but vertex 0, whose row the connectivity check already holds, and
+every other module reads it from that cached matrix.
 
 The distinguisher masks, which every search reads, are built from it in
 bulk: each byte plane of the distance rows (one plane below diameter 256)
@@ -45,7 +45,7 @@ NONZERO = b"0" + b"1" * 255
 
 def label(v) -> int:
     """v as an integer label (``operator.index``); floats, strings and bools
-    are refused, the last as ``is_int`` refuses JSON's ``true``."""
+    are refused, the last because JSON's ``true`` loads as ``True``."""
     if v.__class__ is not bool:
         try:
             return index(v)
@@ -150,20 +150,31 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple connected graph on vertices 0..n-1 with n >= 2."""
+    """Simple connected graph on vertices 0..n-1 with n >= 2; the order and
+    the endpoints are read by ``label``, so they are stored as ints."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise OrderTooSmall(f"need at least 2 vertices, got {self.n}")
+        n = self.n
+        if n.__class__ is not int:
+            n = label(n)
+            object.__setattr__(self, "n", n)
+        if n < 2:
+            raise OrderTooSmall(f"need at least 2 vertices, got {n}")
         seen: set[tuple[int, int]] = set()
         canon = []
         for e in self.edges:
-            u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise VertexOutOfRange(f"edge {tuple(e)} outside 0..{self.n - 1}")
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise InputFormatError(f"edge {e!r} is not a pair") from None
+            if u.__class__ is not int or v.__class__ is not int:
+                u, v = label(u), label(v)
+                e = (u, v)
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange(f"edge {tuple(e)} outside 0..{n - 1}")
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if u > v:
@@ -175,8 +186,8 @@ class Graph:
                 raise DuplicateEdge(f"edge ({u}, {v}) given twice")
             seen.add(e)
             canon.append(e)
-        if len(canon) < self.n - 1:
-            raise DisconnectedInput(f"{len(canon)} edges cannot connect {self.n} vertices")
+        if len(canon) < n - 1:
+            raise DisconnectedInput(f"{len(canon)} edges cannot connect {n} vertices")
         canon.sort()  # in input order, so edges given sorted sort in one pass
         object.__setattr__(self, "edges", tuple(canon))
         reached = self._bfs_row(0)
@@ -225,16 +236,8 @@ class Graph:
 
 
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    """Validate and build an immutable connected graph from vertex pairs.
-
-    The order and the endpoints go through ``operator.index``, inlined, so a
-    bool is stored as the int 0 or 1; the parsers, the family generators and
-    ``point_attach`` build ``Graph`` from int pairs."""
-    try:
-        n, pairs = index(n), tuple((index(u), index(v)) for u, v in edges)
-    except TypeError as exc:
-        raise InvalidVertexSet(f"graph labels must be integers: {exc}") from None
-    return Graph(n, pairs)
+    """Validate and build an immutable connected graph from vertex pairs."""
+    return Graph(n, tuple(edges))
 
 
 def is_even_graph(d: DistanceMatrix) -> bool:
@@ -291,12 +294,6 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-def is_int(x) -> bool:
-    """True for an int that is not a bool: JSON ``true`` loads as ``True``,
-    which ``isinstance(x, int)`` accepts."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def json_fields(obj, what: str, required: Sequence[str], optional: Sequence[str] = ()) -> list:
     """obj's values for required + optional, an absent optional key as None (so a
     present one may not be null); a non-object, missing or unknown key is refused."""
@@ -319,11 +316,6 @@ def graph_from_json_dict(obj) -> Graph:
 
 def json_graph(n, edges) -> Graph:
     """The Graph of a JSON payload's "n" and "edges" values."""
-    if not is_int(n) or not isinstance(edges, list):
-        raise InputFormatError('"n" must be an integer and "edges" a list')
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise InputFormatError(f"edge {e!r} is not a pair")
-        if not (is_int(e[0]) and is_int(e[1])):
-            raise InputFormatError(f"edge {e!r} needs integer endpoints")
-    return Graph(n, tuple(map(tuple, edges)))
+    if not isinstance(edges, list):
+        raise InputFormatError('"edges" must be a list')
+    return Graph(n, tuple(edges))

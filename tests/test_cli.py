@@ -21,8 +21,9 @@ def write_graph(tmp_path, g, name="g.edgelist"):
 
 
 def write_json(tmp_path, payload, name="spec.json"):
+    """payload as JSON, or as written when it is already text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -96,6 +97,17 @@ class TestCompute:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (
             "", f"error: --at vertex {at!r} is not plain decimal\n")
+
+    @pytest.mark.parametrize("invariant, at", [
+        ("theta", ","), ("fdim-star", ""), ("fdim-star", "0,0")])
+    def test_at_needs_distinct_vertices(self, tmp_path, capsys, invariant, at):
+        # these printed theta 0 with a blank anchors line, the plain fdim,
+        # and anchors "0 0" for the anchor set {0}
+        path = write_graph(tmp_path, cycle_graph(4))
+        assert main(["compute", "--input", path, "--invariant", invariant, "--at", at]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: --at needs one or more distinct vertices, got {at!r}\n")
 
     def test_at_vertices_split_on_commas_and_spaces(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(8))
@@ -179,7 +191,7 @@ class TestCompute:
         path = write_json(tmp_path, {"n": 3, "edges": [[False, True], [True, 2]]})
         assert main(["compute", "--input", path, "--format", "json",
                      "--invariant", "fdim"]) == 1
-        assert "needs integer endpoints" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: vertex label False is not an integer\n"
 
     @pytest.mark.parametrize("input_format", ["edgelist", "json"])
     def test_binary_input(self, tmp_path, capsys, input_format):
@@ -411,7 +423,7 @@ class TestCompose:
         spec = {"base": {"n": 2, "edges": [[0, 1]]}, "family": family}
         path = write_json(tmp_path, spec)
         assert main(["compose", "--input", path, "--theorem", "prop7"]) == 1
-        assert "root must be an integer" in capsys.readouterr().err.replace('"', "")
+        assert_one_error_line(capsys.readouterr().err, "is not an integer")
 
     @pytest.mark.parametrize("name", [None, 5], ids=["null", "number"])
     def test_non_string_anchor_name_is_refused(self, tmp_path, capsys, name):
@@ -453,6 +465,13 @@ class TestCompose:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == 2 and payload["bounds"] == [2, 4]
+
+    def test_anchor_free_piece_fails_thm2(self, tmp_path, capsys):
+        path = write_json(tmp_path, {"pieces": [C4]})
+        code, out = run(capsys, "compose", "--input", path, "--theorem", "thm2",
+                        "--output", "json")
+        assert code == 3
+        assert "piece 0 has an attachment vertex" in json.loads(out)["failed"]
 
     def test_malformed_spec(self, tmp_path, capsys):
         path = write_json(tmp_path, {"pieces": "nope"})
@@ -502,6 +521,14 @@ class TestVerify:
                         "--seed", "5", "--output", "json")
         assert code == 0
         assert json.loads(out)["failed"] == 0
+
+    def test_batch_mismatch_exits_4(self, capsys):
+        # strict cor3 on the seed-0 suite: instance 5 is a counterexample
+        code, out = run(capsys, "verify", "--theorem", "cor3", "--count", "6",
+                        "--output", "json")
+        assert code == 4
+        payload = json.loads(out)
+        assert (payload["passed"], payload["failed"]) == (5, 1)
 
     def test_batch_deterministic_output(self, capsys):
         _, first = run(capsys, "verify", "--theorem", "thm2", "--count", "5",
@@ -743,7 +770,9 @@ P3_ROOTED_AT_2 = {"graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "root": 2}
 class TestUnknownKeys:
     """A key outside its object's schema is refused with exit 1 at every
     level, where it used to be ignored: a piece that spells "anchors" as
-    "anchor" was read as anchor-free, so prop1 printed 4 instead of 2."""
+    "anchor" was read as anchor-free, so prop1 printed 4 instead of 2.  So
+    is a key given twice, whose last value json.loads would keep, and a
+    known key whose value has the wrong shape."""
 
     @pytest.mark.parametrize("argv, payload, message", [
         (["compute", "--format", "json", "--invariant", "fdim"],
@@ -764,9 +793,27 @@ class TestUnknownKeys:
          "uniform family: unknown key 'count'"),
         (["compose", "--theorem", "prop9"],
          {"base": {**P2, "anchors": {}}, "family": [P3_ROOTED_AT_2] * 2},
-         "graph JSON: unknown key 'anchors'"),
+         "base: unknown key 'anchors'"),
+        (["compose", "--theorem", "prop9"],
+         {"base": P2, "family": [P3_ROOTED_AT_2,
+                                 {**P3_ROOTED_AT_2, "graph": {**P2, "root": 1}}]},
+         "family entry 1 graph: unknown key 'root'"),
+        (["compose", "--theorem", "prop9"],
+         {"base": P2, "family": {**P3_ROOTED_AT_2, "graph": {"n": 3}, "copies": "per-base-vertex"}},
+         'uniform family graph needs "n" and "edges"'),
+        # json.loads keeps the last value: prop1 ran with anchor "a" and exited 0
+        (["compose", "--theorem", "prop1"],
+         '{"pieces": [{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],'
+         ' "anchors": {"0": "b"}, "anchors": {"0": "a"}}]}',
+         "repeated key 'anchors'"),
+        (["compose", "--theorem", "prop1"],
+         {"pieces": [{**C4, "anchors": [0]}]}, "piece 0: anchors must map vertex to name"),
+        (["compose", "--theorem", "prop9"],
+         {"base": P2, "family": {**P3_ROOTED_AT_2, "copies": "twice"}},
+         'uniform family needs "copies": "per-base-vertex"'),
     ], ids=["graph", "piece", "decomposition", "rooted-product", "family-entry",
-            "uniform-family", "base-graph"])
+            "uniform-family", "base-graph", "family-entry-graph", "uniform-family-graph",
+            "repeated-key", "anchors-list", "copies-twice"])
     def test_unknown_key_is_refused(self, tmp_path, capsys, argv, payload, message):
         path = write_json(tmp_path, payload)
         assert main([*argv, "--input", path]) == 1

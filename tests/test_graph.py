@@ -136,16 +136,14 @@ VERTEX_ENTRY_POINTS = {
     "point_attach": lambda x: point_attach([(C6, {x: "a"})]),
     "RootedPiece": lambda x: RootedPiece(C6, x),
     "build_graph": lambda x: build_graph(3, [(0, 1), (1, x)]),
+    "Graph": lambda x: Graph(3, ((0, 1), (1, x))),
 }
 
 
-# build_graph stores operator.index(True), the int 1, so no bool reaches a
-# label; a bool check there would double the cost of every build
 LABEL_CASES = [
     pytest.param(call, bad, id=f"{name}-{kind}")
     for kind, bad in [("float", 2.5), ("string", "1"), ("bool", True)]
     for name, call in VERTEX_ENTRY_POINTS.items()
-    if not (kind == "bool" and name == "build_graph")
 ]
 
 
@@ -154,6 +152,33 @@ def test_every_vertex_entry_point_refuses_non_integer_labels(call, bad):
     call(2)  # the same call on an integer label goes through
     with pytest.raises(InvalidVertexSet, match="integer"):
         call(bad)
+
+
+@pytest.mark.parametrize("n, edges, error, message", [
+    (3.0, ((0, 1), (1, 2)), InvalidVertexSet, "vertex label 3.0 is not an integer"),
+    (True, (), InvalidVertexSet, "vertex label True is not an integer"),
+    (3, ((0, 1), (0, 1, 2)), InputFormatError, "edge (0, 1, 2) is not a pair"),
+    (3, ((0, 1), 2), InputFormatError, "edge 2 is not a pair"),
+], ids=["float-order", "bool-order", "three-element-edge", "non-iterable-edge"])
+def test_graph_refuses_a_bad_order_or_edge(n, edges, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        Graph(n, edges)
+
+
+class Index:
+    """An ``operator.index`` type that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_graph_stores_index_types_as_ints():
+    g = Graph(Index(3), ((Index(2), 1), (0, Index(1))))
+    assert g == Graph(3, ((0, 1), (1, 2))) and type(g.n) is int
+    assert all(type(x) is int for e in g.edges for x in e)
 
 
 class TestDistances:
@@ -341,12 +366,12 @@ class TestEdgeListFormat:
 
     @pytest.mark.parametrize("edge", [["a", 1], [None, 1], [0.0, 1], [False, 1], [0, True]])
     def test_json_endpoints_must_be_integers(self, edge):
-        with pytest.raises(InputFormatError, match="integer endpoints"):
+        with pytest.raises(InvalidVertexSet, match="is not an integer"):
             graph_from_json_dict({"n": 3, "edges": [edge, [1, 2]]})
 
     def test_json_order_must_not_be_boolean(self):
         # isinstance(True, int) holds, and True would build a 1-vertex graph
-        with pytest.raises(InputFormatError, match='"n" must be an integer'):
+        with pytest.raises(InvalidVertexSet, match="^vertex label True is not an integer$"):
             graph_from_json_dict({"n": True, "edges": []})
 
 
