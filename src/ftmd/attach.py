@@ -36,6 +36,7 @@ from .graph import (
     check_cap,
     decimal_label,
     graph_to_json_dict,
+    integer,
     is_even_graph,
     is_path_graph,
     json_fields,
@@ -173,30 +174,20 @@ def fdim_star_closed_form(family: str, n: int, anchors: Iterable[int]) -> int:
     or an antipodal pair on an even cycle, and complete graphs pay the
     non-anchor count until n-1 anchors resolve everything.
     """
+    if family not in ("path", "cycle", "complete"):
+        raise UnsupportedConfiguration(f"no closed form for family {family!r}")
+    n = integer(n, f"{family} order", 3 if family == "cycle" else 2, UnsupportedConfiguration)
     av = sorted(set(map(label, anchors)))
     if not av:
         raise UnsupportedConfiguration("need at least one anchor")
     if av[0] < 0 or av[-1] >= n:
         raise UnsupportedConfiguration(f"anchors outside 0..{n - 1}")
     if family == "path":
-        if n < 2:
-            raise UnsupportedConfiguration("paths need n >= 2")
-        if len(av) == 1 and 0 < av[0] < n - 1:
-            return 2
-        return 0
+        return 2 if len(av) == 1 and 0 < av[0] < n - 1 else 0
     if family == "cycle":
-        if n < 3:
-            raise UnsupportedConfiguration("cycles need n >= 3")
-        if len(av) == 1:
-            return 2
-        if len(av) == 2 and n % 2 == 0 and (av[1] - av[0]) % n == n // 2:
-            return 2
-        return 0
-    if family == "complete":
-        if n < 2:
-            raise UnsupportedConfiguration("complete graphs need n >= 2")
-        return n - len(av) if len(av) < n - 1 else 0
-    raise UnsupportedConfiguration(f"no closed form for family {family!r}")
+        antipodal = len(av) == 2 and n % 2 == 0 and (av[1] - av[0]) % n == n // 2
+        return 2 if len(av) == 1 or antipodal else 0
+    return n - len(av) if len(av) < n - 1 else 0
 
 
 def _c1_anchors(g: Graph, at: Iterable[int]) -> tuple[int, ...]:
@@ -286,11 +277,12 @@ def decomposition_from_json(obj) -> Decomposition:
         raise InputFormatError('decomposition JSON needs a "pieces" list')
     spec: list[tuple[Graph, dict[int, str]]] = []
     for idx, entry in enumerate(pieces):
-        n, edges, anchors = json_fields(entry, f"piece {idx}", ("n", "edges"), ("anchors",))
-        graph = json_graph(n, edges)
+        what = f"piece {idx}"
+        n, edges, anchors = json_fields(entry, what, ("n", "edges"), ("anchors",))
+        graph = json_graph(n, edges, what)
         if not isinstance(anchors, dict | None):
-            raise InputFormatError(f"piece {idx}: anchors must map vertex to name")
-        amap = {decimal_label(key, f"piece {idx}: anchor key"): value
+            raise InputFormatError(f"{what}: anchors must map vertex to name")
+        amap = {decimal_label(key, f"{what}: anchor key"): value
                 for key, value in (anchors or {}).items()}
         spec.append((graph, amap))
     return point_attach(spec)

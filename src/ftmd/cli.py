@@ -8,11 +8,11 @@ Exit codes: 0 success, 1 malformed input, 2 order cap exceeded,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
 import time
+from functools import cache, partial
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +20,8 @@ from .attach import decomposition_to_json, fdim_star
 from .compose import RULES, TheoremResult, VerifyReport, decomposition_suite, verify
 from .errors import FtmdError, InputFormatError, OrderCapExceeded, PreconditionFailed
 from .families import FAMILY_NAMES, generate
-from .graph import Graph, decimal_label, format_edge_list, graph_from_json_dict, parse_edge_list
+from .graph import (Graph, decimal_label, format_edge_list, graph_from_json_dict, integer,
+                    parse_edge_list)
 from .resolve import FtReport, fdim, fdim_plus, metric_dimension, theta
 
 EXIT_OK = 0
@@ -64,13 +65,13 @@ class _Parser(argparse.ArgumentParser):
 # Built on the first call to main and reused: parse_args returns a fresh
 # Namespace and stores nothing on the parser, and the cmd_* handlers read
 # this module's globals when they run, so rebinding them still takes effect.
-@functools.cache
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ftmd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser) -> None:
-        p.add_argument("--oracle-cap", type=int, default=None,
+        p.add_argument("--oracle-cap", type=partial(decimal_label, what="--oracle-cap"),
                        help=f"order cap for exact searches (default: ${ORACLE_CAP_ENV} or built-in)")
         p.add_argument("--output", choices=("human", "json"), default="human")
         p.add_argument("--timings", action="store_true",
@@ -96,15 +97,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", default=None, help="spec file (omit for --count batches)")
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--relaxed-cor3", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=None,
+    p.add_argument("--seed", type=partial(decimal_label, what="--seed"), default=0)
+    p.add_argument("--count", type=partial(decimal_label, what="--count"),
                    help="verify this many seeded random instances instead of a file")
     common(p)
     p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("generate", help="emit a named family graph or decomposition")
     p.add_argument("family", choices=FAMILY_NAMES)
-    p.add_argument("size", type=int, nargs="?", default=None)
+    p.add_argument("size", type=partial(decimal_label, what="size"), nargs="?")
     p.set_defaults(run=cmd_generate)
     return parser
 
@@ -112,13 +113,8 @@ def _build_parser() -> _Parser:
 def _oracle_cap(cap: int | None) -> int | None:
     """The --oracle-cap flag, else $FTMD_ORACLE_CAP, else None (built-in caps)."""
     if cap is None and os.environ.get(ORACLE_CAP_ENV):
-        try:
-            cap = int(os.environ[ORACLE_CAP_ENV])
-        except ValueError as exc:
-            raise InputFormatError(f"bad {ORACLE_CAP_ENV}: {exc}") from exc
-    if cap is not None and cap < 2:
-        raise InputFormatError(f"oracle cap must be >= 2, got {cap}")
-    return cap
+        cap = decimal_label(os.environ[ORACLE_CAP_ENV], ORACLE_CAP_ENV)
+    return cap if cap is None else integer(cap, "oracle cap", 2)
 
 
 def _read_text(path: str) -> str:
@@ -282,8 +278,7 @@ def _verify_batch(ns: argparse.Namespace) -> int:
     if batch is None:
         batched = "/".join(name for name, rule in RULES.items() if rule.batch is not None)
         raise InputFormatError(f"batch verification supports {batched}, not {theorem}")
-    if ns.count < 1:
-        raise InputFormatError(f"--count must be >= 1, got {ns.count}")
+    integer(ns.count, "--count", 1)
     condition, max_order = batch
     cap = ns.oracle_cap if ns.oracle_cap is not None else max_order
     decs = decomposition_suite(ns.seed, ns.count, (3, 4, 5), max_order, condition)

@@ -26,7 +26,7 @@ from .attach import (
 )
 from .errors import IllegalParameter, InputFormatError, PreconditionFailed
 from .families import complete_graph, cycle_graph, path_graph, paw_graph, star_graph
-from .graph import Graph, graph_to_json_dict, is_path_graph, json_fields, json_graph, label
+from .graph import Graph, graph_to_json_dict, integer, is_path_graph, json_fields, json_graph, label
 from .resolve import fdim, fdim_plus, in_some_ft_basis, is_ft_resolving, theta
 
 
@@ -325,6 +325,7 @@ def prop9_fdim(spec: RootedProductSpec, cap: int | None = None) -> TheoremResult
 def prop9_bounds(g: Graph, path_len: int, cap: int | None = None) -> TheoremResult:
     """``prop9_fdim`` on the canonical spec: one path_graph(path_len) rooted
     at its leaf 0 per vertex of g."""
+    path_len = integer(path_len, "path_len")
     if path_len < 2:  # no path to build: fail the hypothesis instead
         _require("prop9", _prop9_checks(path_len, True, g))
     return prop9_fdim(uniform_rooted_spec(g, path_graph(path_len), 0), cap=cap)
@@ -349,13 +350,13 @@ def rooted_spec_to_json(spec: RootedProductSpec) -> dict:
 def _rooted_piece(obj, what: str, *extra: str) -> tuple:
     """A family entry's RootedPiece, then the values of its extra keys."""
     graph, root, *rest = json_fields(obj, what, ("graph", "root", *extra))
-    graph = json_graph(*json_fields(graph, f"{what} graph", ("n", "edges")))
+    graph = json_graph(*json_fields(graph, f"{what} graph", ("n", "edges")), f"{what} graph")
     return RootedPiece(graph, root), *rest
 
 
 def rooted_spec_from_json(obj) -> RootedProductSpec:
     base, family = json_fields(obj, "rooted-product JSON", ("base", "family"))
-    base = json_graph(*json_fields(base, "base", ("n", "edges")))
+    base = json_graph(*json_fields(base, "base", ("n", "edges")), "base")
     if isinstance(family, dict):
         piece, copies = _rooted_piece(family, "uniform family", "copies")
         if copies != "per-base-vertex":
@@ -509,14 +510,12 @@ def random_decomposition(
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) else random.Random(seed_or_rng)
     if condition not in (None, "thm2", "cor3"):
         raise IllegalParameter(f"unknown generator condition {condition!r}")
+    k = integer(k, "k", 1)
     if condition is not None and k < 3:
         raise IllegalParameter(f"condition {condition!r} needs k >= 3, got {k}")
-    if k < 1:
-        raise IllegalParameter(f"need k >= 1 pieces, got {k}")
     # k pieces glued at k - 1 shared vertices, each of the smallest order
-    least = _MIN_PIECE + (k - 1) * (_MIN_PIECE - 1)
-    if max_order < least:
-        raise IllegalParameter(f"{k} pool pieces need max_order >= {least}, got {max_order}")
+    max_order = integer(max_order, f"max_order of {k} pool pieces",
+                        _MIN_PIECE + (k - 1) * (_MIN_PIECE - 1))
     for _ in range(_MAX_ATTEMPTS):
         dec = _try_random_decomposition(rng, k, max_order, condition)
         if dec is not None:
@@ -612,9 +611,10 @@ def decomposition_suite(
     condition: str | None = None,
 ) -> list[Decomposition]:
     """A reproducible batch of random decompositions (one shared rng stream)."""
-    ks = list(k_choices)
-    if not ks or min(ks) < 1:
-        raise IllegalParameter(f"k_choices must be non-empty with every k >= 1, got {ks}")
+    count = integer(count, "count", 0)
+    ks = [integer(k, "k_choices entry", 1) for k in k_choices]
+    if not ks:
+        raise IllegalParameter("k_choices must be non-empty")
     rng = random.Random(seed)
     out = []
     while len(out) < count:

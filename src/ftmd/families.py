@@ -7,33 +7,29 @@ from itertools import combinations
 
 from .attach import Decomposition, point_attach
 from .errors import IllegalParameter
-from .graph import Graph
+from .graph import Graph, integer
 
 
 def path_graph(n: int) -> Graph:
     """Path 0-1-...-(n-1)."""
-    if n < 2:
-        raise IllegalParameter(f"path needs n >= 2, got {n}")
+    n = integer(n, "path order", 2)
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle numbered along the walk."""
-    if n < 3:
-        raise IllegalParameter(f"cycle needs n >= 3, got {n}")
+    n = integer(n, "cycle order", 3)
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 2:
-        raise IllegalParameter(f"complete graph needs n >= 2, got {n}")
+    n = integer(n, "complete graph order", 2)
     return Graph(n, tuple(combinations(range(n), 2)))
 
 
 def star_graph(t: int) -> Graph:
     """Star with center 0 and leaves 1..t."""
-    if t < 1:
-        raise IllegalParameter(f"star needs t >= 1, got {t}")
+    t = integer(t, "star leaf count", 1)
     return Graph(t + 1, tuple((0, i) for i in range(1, t + 1)))
 
 
@@ -44,8 +40,7 @@ def paw_graph() -> Graph:
 
 def hypercube_graph(d: int) -> Graph:
     """d-cube with binary-label adjacency."""
-    if d < 1:
-        raise IllegalParameter(f"hypercube needs d >= 1, got {d}")
+    d = integer(d, "hypercube dimension", 1)
     n = 1 << d
     edges = []
     for v in range(n):
@@ -108,6 +103,7 @@ def generate(family: str, size: int | None = None) -> Graph | Decomposition:
         if size is None:
             raise IllegalParameter(f"family {family!r} needs a size parameter")
         build, edges = _SIZED[family]
+        size = integer(size, f"family {family!r} size")
         if edges(size) > MAX_EDGES:
             raise IllegalParameter(
                 f"family {family!r} of size {size} has more than {MAX_EDGES} edges"

@@ -1,15 +1,15 @@
 """Immutable simple connected graphs with exact hop distances.
 
 Vertices are dense integer labels 0..n-1; external names should be mapped
-through a label table by the caller.  ``label`` and ``vertex_set`` own the
-rule for labels (``operator.index``, bools refused) and ``decimal_label``
-the rule for text (plain decimal).  Construction reads the order and the
-endpoints by ``label`` and checks connectivity: fewer than n - 1 edges are
-refused at once, and otherwise one breadth-first search decides, so
-refusing an oversized graph costs O(n + m).  The all-pairs distance matrix
-is built on first use of ``Graph.dist``, by breadth-first search from every
-vertex but vertex 0, whose row the connectivity check already holds, and
-every other module reads it from that cached matrix.
+through a label table by the caller.  ``integer`` owns the rule for every
+integer taken, label, order, size or cap (``operator.index``, bools refused),
+and ``decimal_label`` the rule for text (plain decimal).  Construction reads
+the order and the endpoints by it and checks connectivity: fewer than n - 1
+edges are refused at once, and otherwise one breadth-first search decides,
+so refusing an oversized graph costs O(n + m).  The all-pairs distance
+matrix is built on first use of ``Graph.dist``, by breadth-first search from
+every vertex but vertex 0, whose row the connectivity check already holds,
+and every other module reads it from that cached matrix.
 
 The distinguisher masks, which every search reads, are built from it in
 bulk: each byte plane of the distance rows (one plane below diameter 256)
@@ -28,6 +28,8 @@ from .cover import Cover
 from .errors import (
     DisconnectedInput,
     DuplicateEdge,
+    FtmdError,
+    IllegalParameter,
     InputFormatError,
     InvalidVertexSet,
     OrderCapExceeded,
@@ -43,15 +45,24 @@ UNREACHABLE_SHOWN = 20  # unreachable vertices named in a DisconnectedInput mess
 NONZERO = b"0" + b"1" * 255
 
 
+def integer(v, what: str, least: int | None = None, error=IllegalParameter) -> int:
+    """v as an int (``operator.index``), or error naming what: floats,
+    strings and bools are refused, the last because JSON's ``true`` loads as
+    ``True``, and so is an integer below least."""
+    try:
+        i = index(v)
+    except TypeError:
+        i = None
+    if i is None or v.__class__ is bool:
+        raise error(f"{what} {v!r} is not an integer")
+    if least is not None and i < least:
+        raise error(f"{what} must be >= {least}, got {i}")
+    return i
+
+
 def label(v) -> int:
-    """v as an integer label (``operator.index``); floats, strings and bools
-    are refused, the last because JSON's ``true`` loads as ``True``."""
-    if v.__class__ is not bool:
-        try:
-            return index(v)
-        except TypeError:
-            pass
-    raise InvalidVertexSet(f"vertex label {v!r} is not an integer")
+    """v as a vertex label: ``integer``, refusing with ``InvalidVertexSet``."""
+    return v if v.__class__ is int else integer(v, "vertex label", None, InvalidVertexSet)
 
 
 def decimal_label(token: str, what: str) -> int:
@@ -78,7 +89,7 @@ def vertex_set(n: int, vs: Iterable[int]) -> tuple[int, ...]:
 def check_cap(n: int, cap: int | None, default: int | None, what: str) -> None:
     """Refuse order n above cap, or above default when cap is None; a None
     default leaves the computation uncapped."""
-    limit = default if cap is None else cap
+    limit = default if cap is None else integer(cap, "order cap")
     if limit is not None and n > limit:
         raise OrderCapExceeded(f"{what} capped at order {limit}, got {n}")
 
@@ -151,7 +162,7 @@ class DistanceMatrix:
 @dataclass(frozen=True)
 class Graph:
     """Simple connected graph on vertices 0..n-1 with n >= 2; the order and
-    the endpoints are read by ``label``, so they are stored as ints."""
+    the endpoints are read by ``integer``, so they are stored as ints."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -159,7 +170,7 @@ class Graph:
     def __post_init__(self) -> None:
         n = self.n
         if n.__class__ is not int:
-            n = label(n)
+            n = integer(n, "graph order")
             object.__setattr__(self, "n", n)
         if n < 2:
             raise OrderTooSmall(f"need at least 2 vertices, got {n}")
@@ -311,11 +322,15 @@ def json_fields(obj, what: str, required: Sequence[str], optional: Sequence[str]
 
 def graph_from_json_dict(obj) -> Graph:
     """Build a Graph from a {"n": int, "edges": [[u, v], ...]} payload."""
-    return json_graph(*json_fields(obj, "graph JSON", ("n", "edges")))
+    return json_graph(*json_fields(obj, "graph JSON", ("n", "edges")), "graph JSON")
 
 
-def json_graph(n, edges) -> Graph:
-    """The Graph of a JSON payload's "n" and "edges" values."""
+def json_graph(n, edges, what: str) -> Graph:
+    """The Graph of the "n" and "edges" values of the JSON object what; each
+    refusal names what, a refused build as its own type prefixed "<what>: "."""
     if not isinstance(edges, list):
-        raise InputFormatError('"edges" must be a list')
-    return Graph(n, tuple(edges))
+        raise InputFormatError(f'{what}: "edges" must be a list')
+    try:
+        return Graph(n, tuple(edges))
+    except FtmdError as exc:
+        raise type(exc)(f"{what}: {exc}") from None

@@ -308,10 +308,10 @@ class TestClosedForms:
             fdim_star_closed_form("path", 5, (9,))
 
     @pytest.mark.parametrize("family, n, message", [
-        ("path", 1, "paths need n >= 2"),
-        ("cycle", 2, "cycles need n >= 3"),
-        ("complete", 1, "complete graphs need n >= 2"),
-    ])
+        ("path", 1, "path order must be >= 2, got 1"),
+        ("cycle", 2, "cycle order must be >= 3, got 2"),
+        ("complete", 1, "complete order must be >= 2, got 1"),
+    ], ids=["path-1", "cycle-2", "complete-1"])
     def test_order_below_the_family_minimum(self, family, n, message):
         with pytest.raises(UnsupportedConfiguration, match=message):
             fdim_star_closed_form(family, n, (0,))

@@ -171,7 +171,7 @@ class TestCompute:
 
     @pytest.mark.parametrize("flag, env, message", [
         (["--oracle-cap", "1"], None, "oracle cap must be >= 2, got 1"),
-        ([], "abc", "bad FTMD_ORACLE_CAP: invalid literal"),
+        ([], "abc", "FTMD_ORACLE_CAP 'abc' is not plain decimal"),
     ], ids=["flag-below-two", "env-not-a-number"])
     def test_bad_oracle_cap(self, tmp_path, capsys, monkeypatch, flag, env, message):
         if env is not None:
@@ -191,7 +191,8 @@ class TestCompute:
         path = write_json(tmp_path, {"n": 3, "edges": [[False, True], [True, 2]]})
         assert main(["compute", "--input", path, "--format", "json",
                      "--invariant", "fdim"]) == 1
-        assert capsys.readouterr().err == "error: vertex label False is not an integer\n"
+        assert capsys.readouterr().err == (
+            "error: graph JSON: vertex label False is not an integer\n")
 
     @pytest.mark.parametrize("input_format", ["edgelist", "json"])
     def test_binary_input(self, tmp_path, capsys, input_format):
@@ -746,6 +747,36 @@ class TestGenerate:
         assert captured.err.startswith("error: unrecognized arguments: ")
 
 
+class TestPlainDecimalIntegers:
+    """Every integer on the command line and in $FTMD_ORACLE_CAP is read as
+    plain decimal, as --at vertices and anchor keys are: int() read "1_0" as
+    10, "+4" and the Arabic-Indic digit four as 4, and " 1_6 " as 16."""
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["generate", "path", "1_0"], None, "size '1_0' is not plain decimal"),
+        (["generate", "path", "+4"], None, "size '+4' is not plain decimal"),
+        (["generate", "path", "٤"], None, "size '٤' is not plain decimal"),
+        (["compute", "--invariant", "fdim", "--oracle-cap", "1_6"], None,
+         "--oracle-cap '1_6' is not plain decimal"),
+        (["compute", "--invariant", "fdim"], " 1_6 ",
+         "FTMD_ORACLE_CAP ' 1_6 ' is not plain decimal"),
+        (["verify", "--theorem", "thm2", "--count", "0_5"], None,
+         "--count '0_5' is not plain decimal"),
+        (["verify", "--theorem", "thm2", "--count", "1", "--seed", "01"], None,
+         "--seed '01' is not plain decimal"),
+    ], ids=["size-underscore", "size-plus", "size-arabic-indic", "oracle-cap", "env",
+            "count", "seed"])
+    def test_integer_must_be_plain_decimal(self, tmp_path, capsys, monkeypatch, argv, env,
+                                           message):
+        if env is not None:
+            monkeypatch.setenv("FTMD_ORACLE_CAP", env)
+        if argv[0] == "compute":
+            argv = [*argv, "--input", write_graph(tmp_path, cycle_graph(4))]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 class TestJsonRoundTrip:
     def test_reports_parse_back(self, tmp_path, capsys):
         path = write_graph(tmp_path, cycle_graph(8))
@@ -772,7 +803,9 @@ class TestUnknownKeys:
     level, where it used to be ignored: a piece that spells "anchors" as
     "anchor" was read as anchor-free, so prop1 printed 4 instead of 2.  So
     is a key given twice, whose last value json.loads would keep, and a
-    known key whose value has the wrong shape."""
+    known key whose value has the wrong shape.  A nested graph that does not
+    build is named too: a piece that repeats an edge once gave only "edge
+    (0, 1) given twice"."""
 
     @pytest.mark.parametrize("argv, payload, message", [
         (["compute", "--format", "json", "--invariant", "fdim"],
@@ -811,9 +844,18 @@ class TestUnknownKeys:
         (["compose", "--theorem", "prop9"],
          {"base": P2, "family": {**P3_ROOTED_AT_2, "copies": "twice"}},
          'uniform family needs "copies": "per-base-vertex"'),
+        (["compose", "--theorem", "prop1"],
+         {"pieces": [{**C4, "anchors": {"0": "a"}},
+                     {"n": 3, "edges": [[0, 1], [1, 0], [1, 2]], "anchors": {"0": "a"}}]},
+         "piece 1: edge (0, 1) given twice"),
+        (["compose", "--theorem", "prop9"],
+         {"base": P2, "family": [P3_ROOTED_AT_2,
+                                 {**P3_ROOTED_AT_2, "graph": {"n": 3, "edges": [[0, 1], [1, 5]]}}]},
+         "family entry 1 graph: edge (1, 5) outside 0..2"),
     ], ids=["graph", "piece", "decomposition", "rooted-product", "family-entry",
             "uniform-family", "base-graph", "family-entry-graph", "uniform-family-graph",
-            "repeated-key", "anchors-list", "copies-twice"])
+            "repeated-key", "anchors-list", "copies-twice", "piece-build",
+            "family-entry-graph-build"])
     def test_unknown_key_is_refused(self, tmp_path, capsys, argv, payload, message):
         path = write_json(tmp_path, payload)
         assert main([*argv, "--input", path]) == 1

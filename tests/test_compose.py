@@ -553,14 +553,16 @@ class TestRandomDecompositions:
         # k pieces of order 3 glued at k - 1 vertices need 2k + 1 vertices
         rng = random.Random(0)
         state = rng.getstate()
-        with pytest.raises(IllegalParameter, match=f"max_order >= {2 * k + 1}"):
+        with pytest.raises(IllegalParameter,
+                           match=f"max_order of {k} pool pieces must be >= {2 * k + 1}, "
+                                 f"got {max_order}$"):
             random_decomposition(rng, k, max_order, condition=condition)
         assert rng.getstate() == state  # refused before any draw
 
     def test_refuses_no_pieces(self):
         rng = random.Random(0)
         state = rng.getstate()
-        with pytest.raises(IllegalParameter, match="k >= 1"):
+        with pytest.raises(IllegalParameter, match="^k must be >= 1, got 0$"):
             random_decomposition(rng, 0, 10)
         assert rng.getstate() == state  # refused before any draw
 

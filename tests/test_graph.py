@@ -15,11 +15,13 @@ from ftmd import (
     DuplicateEdge,
     Graph,
     GraphBuildError,
+    IllegalParameter,
     InputFormatError,
     InvalidVertexSet,
     OrderTooSmall,
     RootedPiece,
     SelfLoop,
+    UnsupportedConfiguration,
     VertexOutOfRange,
     build_graph,
     c1_cases,
@@ -28,9 +30,14 @@ from ftmd import (
     check_C2,
     complete_graph,
     cycle_graph,
+    decomposition_suite,
+    enumerate_ft_bases,
+    fdim,
+    fdim_plus,
     fdim_star,
     fdim_star_closed_form,
     format_edge_list,
+    generate,
     graph_from_json_dict,
     hypercube_graph,
     in_some_ft_basis,
@@ -39,14 +46,18 @@ from ftmd import (
     is_ft_resolving,
     is_path_graph,
     is_resolving,
+    metric_dimension,
     parse_edge_list,
     path_graph,
     paw_graph,
     point_attach,
+    prop9_bounds,
+    random_decomposition,
     star_graph,
     theta,
+    verify,
 )
-from ftmd.graph import json_fields
+from ftmd.graph import check_cap, json_fields
 
 
 class TestBuildGraph:
@@ -116,6 +127,16 @@ class TestBuildGraph:
         assert len(bfs_rows) == 40
 
 
+class Index:
+    """An ``operator.index`` type that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 C6 = cycle_graph(6)
 
 # Every public entry point that takes a vertex or a vertex set, called with
@@ -154,25 +175,72 @@ def test_every_vertex_entry_point_refuses_non_integer_labels(call, bad):
         call(bad)
 
 
+C5 = cycle_graph(5)
+SMALL_DEC = random_decomposition(0, 3, 7, condition="thm2")
+
+# Every public entry point that takes a count, an order or a cap, called
+# with x there: name -> (call, an integer the call takes, the parameter as
+# the message names it, the least integer taken or None, the error raised).
+COUNT_ENTRY_POINTS = {
+    "Graph": (lambda x: Graph(x, ((0, 1), (1, 2))), 3, "graph order", None,
+              IllegalParameter),
+    "check_cap": (lambda x: check_cap(5, x, None, "search"), 5, "order cap", None,
+                  IllegalParameter),
+    "path_graph": (path_graph, 2, "path order", 2, IllegalParameter),
+    "cycle_graph": (cycle_graph, 3, "cycle order", 3, IllegalParameter),
+    "complete_graph": (complete_graph, 2, "complete graph order", 2, IllegalParameter),
+    "star_graph": (star_graph, 1, "star leaf count", 1, IllegalParameter),
+    "hypercube_graph": (hypercube_graph, 1, "hypercube dimension", 1, IllegalParameter),
+    "generate": (lambda x: generate("path", x), 4, "family 'path' size", None,
+                 IllegalParameter),
+    "fdim_star_closed_form": (lambda x: fdim_star_closed_form("cycle", x, [1]), 3,
+                              "cycle order", 3, UnsupportedConfiguration),
+    "random_decomposition k": (lambda x: random_decomposition(0, x, 12), 1, "k", 1,
+                               IllegalParameter),
+    "random_decomposition max_order": (lambda x: random_decomposition(0, 3, x), 7,
+                                       "max_order of 3 pool pieces", 7, IllegalParameter),
+    "decomposition_suite count": (lambda x: decomposition_suite(0, x, (3,), 12), 0,
+                                  "count", 0, IllegalParameter),
+    "decomposition_suite k_choices": (lambda x: decomposition_suite(0, 1, (x,), 12), 1,
+                                      "k_choices entry", 1, IllegalParameter),
+    "prop9_bounds": (lambda x: prop9_bounds(paw_graph(), x), 2, "path_len", None,
+                     IllegalParameter),
+    **{f"{search.__name__} cap": (lambda x, search=search: search(C5, cap=x), 5, "order cap",
+                                  None, IllegalParameter)
+       for search in (metric_dimension, fdim, fdim_plus, enumerate_ft_bases)},
+    "fdim_star cap": (lambda x: fdim_star(C5, [0], cap=x), 5, "order cap", None,
+                      IllegalParameter),
+    "theta cap": (lambda x: theta(C5, [0], cap=x), 5, "order cap", None, IllegalParameter),
+    "in_some_ft_basis cap": (lambda x: in_some_ft_basis(C5, 0, cap=x), 5, "order cap", None,
+                             IllegalParameter),
+    "verify oracle_cap": (lambda x: verify(SMALL_DEC, "thm2", oracle_cap=x), 7, "order cap",
+                          None, IllegalParameter),
+}
+
+
+@pytest.mark.parametrize("call, good, what, least, error", [
+    pytest.param(*row, id=name) for name, row in COUNT_ENTRY_POINTS.items()
+])
+def test_every_count_entry_point_reads_integers_by_one_rule(call, good, what, least, error):
+    call(good)  # an integer goes through
+    call(Index(good))  # and so does any other operator.index type
+    for bad in (2.5, "3", True):
+        with pytest.raises(error, match=f"^{re.escape(f'{what} {bad!r} is not an integer')}$"):
+            call(bad)
+    if least is not None:
+        with pytest.raises(error, match=f"^{re.escape(what)} must be >= {least}, got {least - 1}$"):
+            call(least - 1)
+
+
 @pytest.mark.parametrize("n, edges, error, message", [
-    (3.0, ((0, 1), (1, 2)), InvalidVertexSet, "vertex label 3.0 is not an integer"),
-    (True, (), InvalidVertexSet, "vertex label True is not an integer"),
+    (3.0, ((0, 1), (1, 2)), IllegalParameter, "graph order 3.0 is not an integer"),
+    (True, (), IllegalParameter, "graph order True is not an integer"),
     (3, ((0, 1), (0, 1, 2)), InputFormatError, "edge (0, 1, 2) is not a pair"),
     (3, ((0, 1), 2), InputFormatError, "edge 2 is not a pair"),
 ], ids=["float-order", "bool-order", "three-element-edge", "non-iterable-edge"])
 def test_graph_refuses_a_bad_order_or_edge(n, edges, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         Graph(n, edges)
-
-
-class Index:
-    """An ``operator.index`` type that is not an int."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 def test_graph_stores_index_types_as_ints():
@@ -371,7 +439,8 @@ class TestEdgeListFormat:
 
     def test_json_order_must_not_be_boolean(self):
         # isinstance(True, int) holds, and True would build a 1-vertex graph
-        with pytest.raises(InvalidVertexSet, match="^vertex label True is not an integer$"):
+        with pytest.raises(IllegalParameter,
+                           match="^graph JSON: graph order True is not an integer$"):
             graph_from_json_dict({"n": True, "edges": []})
 
 
@@ -405,7 +474,8 @@ def _parse_both(tmp_path, n, edges):
 
 class TestParsersMatchBuildGraph:
     """The parsers construct the Graph from their int pairs directly; they
-    must give what build_graph gives on the same input, error for error."""
+    must give what build_graph gives on the same input, error for error, the
+    JSON parser's error prefixed "graph JSON: "."""
 
     @pytest.mark.parametrize("g", [paw_graph(), cycle_graph(9), hypercube_graph(3)])
     def test_same_graph(self, tmp_path, g):
@@ -434,8 +504,10 @@ class TestParsersMatchBuildGraph:
         ([(2, 0), (0, 1), (0, 2)], "edge (0, 2) given twice"),
     ])
     def test_reversed_duplicate_names_the_canonical_edge(self, tmp_path, edges, message):
-        for parse in (lambda: build_graph(3, edges), *_parse_both(tmp_path, 3, edges)):
-            with pytest.raises(DuplicateEdge, match=f"^{re.escape(message)}$"):
+        text, json_ = _parse_both(tmp_path, 3, edges)
+        for parse, prefix in [(lambda: build_graph(3, edges), ""), (text, ""),
+                              (json_, "graph JSON: ")]:
+            with pytest.raises(DuplicateEdge, match=f"^{re.escape(prefix + message)}$"):
                 parse()
 
     def test_comment_blank_and_trailing_hash_lines(self):
