@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .cover import Cover
 from .errors import (
     AnchorReuseWithinPiece,
     InputFormatError,
@@ -132,37 +131,28 @@ def is_attaching_ft_resolving(g: Graph, at: Iterable[int], f: Iterable[int]) -> 
     if overlap:
         raise OverlapError(f"candidate set touches anchors: {sorted(overlap)}")
     # the definition, on the rows of f | at; fdim_star searches its mask
-    # form, which ``_missed`` derives
+    # form, which its docstring derives
     if not fv:
         return g.dist.resolves(av)
     return all(g.dist.resolves([v for v in av + fv if v != y]) for y in fv)
 
 
-def _missed(g: Graph, at_mask: int) -> list[int]:
-    """The distinguisher masks that no anchor meets.
-
-    A set f outside the anchors passes ``is_attaching_ft_resolving`` iff it
-    meets each of these masks twice.  A mask that an anchor meets always
-    survives: with two anchors in it, or with one anchor and a member of f,
-    two landmarks are left after any deletion from f; with one anchor and
-    no member of f, the anchor alone remains.  With f empty, the condition
-    says that no mask is missed: the anchors resolve the graph.
-    """
-    return [m for m in g.dist.distinguisher_masks if not m & at_mask]
-
-
 def fdim_star(g: Graph, at: Iterable[int], cap: int | None = None) -> FtReport:
     """Minimum anchored fault-tolerant candidate set, lexicographically first.
 
-    By the equivalence in ``_missed`` this is the smallest set of
-    non-anchor vertices that meets twice every mask no anchor meets, found
-    by the minimum-cover search of ``ftmd.cover``.  With an empty anchor
-    set this degenerates to the plain fault-tolerant dimension, which
-    keeps sums over anchor-free one-piece decompositions well defined.
+    A set f outside the anchors passes ``is_attaching_ft_resolving`` iff it
+    meets twice every distinguisher mask that no anchor meets.  A mask that
+    an anchor meets always survives: with two anchors in it, or with one
+    anchor and a member of f, two landmarks are left after any deletion
+    from f; with one anchor and no member of f, the anchor alone remains.
+    With f empty, every mask must be met: the anchors resolve the graph.
+    So this is the anchored search of ``ftmd.cover`` on the graph's index.
+    With no anchors it is the plain fault-tolerant dimension, which keeps
+    sums over anchor-free one-piece decompositions well defined.
     """
     check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "anchored search")
     at_mask = sum(1 << a for a in vertex_set(g.n, at))  # distinct anchors
-    return FtReport.from_search(Cover(_missed(g, at_mask), ((1 << g.n) - 1) & ~at_mask).minimum(2))
+    return FtReport.from_search(g.dist.cover.minimum(2, at_mask))
 
 
 def fdim_star_closed_form(family: str, n: int, anchors: Iterable[int]) -> int:

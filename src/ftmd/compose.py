@@ -67,32 +67,28 @@ def prop1_lower_bound(dec: Decomposition, cap: int | None = None) -> int:
     )
 
 
-def _ends_disjoint(dec: Decomposition, ends: Sequence[int]) -> tuple[str, bool]:
-    disjoint = all(
-        not (dec.at_global(a) & dec.at_global(b)) for a, b in combinations(ends, 2)
-    )
-    return ("end attachment sets pairwise disjoint", disjoint)
+def _tree_checks(dec: Decomposition,
+                 piece_checks: Sequence[tuple[str, bool]]) -> list[tuple[str, bool]]:
+    """The tree-shape checks of the attachment rules around their per-piece
+    checks: k >= 3 first, then at least two end pieces, pairwise disjoint."""
+    ends = [i for i in range(dec.k) if dec.piece_role(i) == "end"]
+    disjoint = all(not (dec.at_global(a) & dec.at_global(b)) for a, b in combinations(ends, 2))
+    return [("k >= 3", dec.k >= 3), *piece_checks,
+            ("at least two end pieces", len(ends) >= 2),
+            ("end attachment sets pairwise disjoint", disjoint)]
 
 
 def _attachment_checks(dec: Decomposition) -> list[tuple[str, bool]]:
-    checks: list[tuple[str, bool]] = [("k >= 3", dec.k >= 3)]
-    ends = []
+    checks = []
     for i, piece in enumerate(dec.pieces):
-        role = dec.piece_role(i)
+        role, at = dec.piece_role(i), dec.at_local(i)
         if role == "internal":
-            checks.append(
-                (f"piece {i} (internal) satisfies C1", check_C1(piece, dec.at_local(i)))
-            )
+            checks.append((f"piece {i} (internal) satisfies C1", check_C1(piece, at)))
         elif role == "end":
-            ends.append(i)
-            checks.append(
-                (f"piece {i} (end) satisfies C2", check_C2(piece, dec.at_local(i)))
-            )
+            checks.append((f"piece {i} (end) satisfies C2", check_C2(piece, at)))
         else:
             checks.append((f"piece {i} has an attachment vertex", False))
-    checks.append(("at least two end pieces", len(ends) >= 2))
-    checks.append(_ends_disjoint(dec, ends))
-    return checks
+    return _tree_checks(dec, checks)
 
 
 def theorem2_fdim(dec: Decomposition, cap: int | None = None) -> TheoremResult:
@@ -151,15 +147,12 @@ def corollary3_fdim(
 def block_graph_fdim(dec: Decomposition) -> TheoremResult:
     """Clique-block composite: every block whose anchor count stays below
     its order minus one contributes its non-anchor count."""
-    checks: list[tuple[str, bool]] = [("k >= 3", dec.k >= 3)]
-    ends = [i for i in range(dec.k) if dec.piece_role(i) == "end"]
+    checks = []
     for i, piece in enumerate(dec.pieces):
         r = piece.n
         checks.append((f"piece {i} is complete", len(piece.edges) == r * (r - 1) // 2))
         checks.append((f"piece {i} has r >= 3", r >= 3))
-    checks.append(("at least two end pieces", len(ends) >= 2))
-    checks.append(_ends_disjoint(dec, ends))
-    checks = _require("blocks", checks)
+    checks = _require("blocks", _tree_checks(dec, checks))
     components = tuple(
         piece.n - len(dec.at_local(i)) if len(dec.at_local(i)) < piece.n - 1 else 0
         for i, piece in enumerate(dec.pieces)
@@ -176,8 +169,10 @@ class RootedPiece:
     root: int
 
     def __post_init__(self) -> None:
-        if not 0 <= label(self.root) < self.graph.n:
-            raise IllegalParameter(f"root {self.root} outside 0..{self.graph.n - 1}")
+        root = label(self.root)
+        if not 0 <= root < self.graph.n:
+            raise IllegalParameter(f"root {root} outside 0..{self.graph.n - 1}")
+        object.__setattr__(self, "root", root)  # as an int, for JSON and equality
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ once, and it tolerates the loss of any one landmark when it meets every
 mask twice: metric dimension and its fault-tolerant variants are hitting
 set and 2-fold multicover problems over the same masks (Khuller,
 Raghavachari & Rosenfeld 1996; Hernando, Mora, Slater & Wood 2008).  Every
-exact search in the package runs on one ``Cover``, whose *rows* are the
-distinct masks restricted to the universe of allowed vertices.
+exact search in the package runs on one ``Cover`` per graph, whose *rows*
+are its distinct masks.  An anchored search takes a set of anchors that
+are never chosen: a row that an anchor meets starts fully met, and the
+rest must be met by the other vertices.
 
 Search.  Rows are the bits of one integer, and each vertex keeps the set
 of rows that contain it, so every step of the search is a handful of
@@ -20,6 +22,7 @@ left to pick, the candidates are narrowed row by row; with two, one of them
 lies in the first unmet row.  The only lower bound is taken once, before
 the search: a greedy packing of pairwise disjoint rows sets the first size
 tried; per-node bounds cut nodes here but cost more time than they save.
+Results are remembered per demand and anchor set.
 
 Witnesses.  For sets of one size, the lexicographically first one contains
 the smallest element of the symmetric difference.  So once the minimum
@@ -63,16 +66,15 @@ def vertices(mask: int) -> list[int]:
 
 
 class Cover:
-    """The distinct masks of a mask list, restricted to a universe of
-    allowed vertices and sorted by size, as the rows of the searches.
+    """The distinct masks of a mask list over vertices 0..n-1, sorted by
+    size, as the rows of the searches.
 
     ``inc`` maps each vertex, as its one-bit mask, to the rows that contain
     it, as a bitmask over row indices.
     """
 
-    def __init__(self, masks: Iterable[int], universe: int) -> None:
-        rows = sorted(dict.fromkeys(m & universe for m in masks), key=int.bit_count)
-        n = universe.bit_length()
+    def __init__(self, masks: Iterable[int], n: int) -> None:
+        rows = sorted(dict.fromkeys(masks), key=int.bit_count)
         columns = [0] * n
         spec = f"0{n}b"
         for start in range(0, len(rows), TRANSPOSE_ROWS):
@@ -84,17 +86,24 @@ class Cover:
             joined = "".join([format(m, spec) for m in reversed(block)])
             columns = [c | int(joined[n - 1 - v::n], 2) << start for v, c in enumerate(columns)]
         self.rows = tuple(rows)
-        self.universe = universe
+        self.n = n
         self.inc = {1 << v: column for v, column in enumerate(columns)}
         self.full = (1 << len(rows)) - 1
-        self._smallest: dict[int, tuple[int, int]] = {}
-        self._minimum: dict[int, tuple[int, int]] = {}
+        self._smallest: dict[tuple[int, int], tuple[int, int]] = {}
+        self._minimum: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def _search(self, demand: int, budget: int, chosen: int, banned: int,
+    def _unmet(self, anchors: int) -> int:
+        """The rows that no anchor meets."""
+        rows = self.full
+        for b in bits(anchors):
+            rows &= ~self.inc[b]
+        return rows
+
+    def _search(self, demand: int, budget: int, chosen: int, banned: int, anchors: int,
                 on_cover: Callable[[int], bool]) -> bool:
         """Depth-first search for covers of at most ``budget`` vertices that
-        contain ``chosen`` and avoid ``banned``.  Calls ``on_cover`` with each
-        cover and stops as soon as it returns True; returns whether it did."""
+        contain ``chosen`` and avoid ``banned``, given ``anchors``.  Calls
+        ``on_cover`` with each cover and stops once it returns True."""
         rows, inc = self.rows, self.inc
 
         def last_one(chosen: int, free: int, need1: int, need2: int) -> bool:
@@ -191,24 +200,25 @@ class Cover:
 
         if chosen.bit_count() > budget:
             return False
-        need1 = self.full
+        need1 = self._unmet(anchors)
         need2 = need1 if demand == 2 else 0
         for b in bits(chosen):
             x = inc[b]
             need1, need2 = (need1 & ~x) | (need2 & x), need2 & ~x
-        free = self.universe & ~chosen & ~banned
+        free = ((1 << self.n) - 1) & ~(chosen | banned | anchors)
         return visit(chosen, free, need1, need2, budget - chosen.bit_count())
 
-    def find(self, demand: int, budget: int, chosen: int = 0, banned: int = 0) -> int | None:
+    def find(self, demand: int, budget: int, chosen: int = 0, banned: int = 0,
+             anchors: int = 0) -> int | None:
         """Some cover of at most ``budget`` vertices that contains ``chosen``
-        and avoids ``banned``, or None."""
+        and avoids ``banned``, given ``anchors``, or None."""
         found: list[int] = []
 
         def stop(cover: int) -> bool:
             found.append(cover)
             return True
 
-        self._search(demand, budget, chosen, banned, stop)
+        self._search(demand, budget, chosen, banned, anchors, stop)
         return found[0] if found else None
 
     def all_covers(self, demand: int, size: int) -> list[int]:
@@ -220,48 +230,51 @@ class Cover:
             found.append(cover)
             return False
 
-        self._search(demand, size, 0, 0, keep)
+        self._search(demand, size, 0, 0, 0, keep)
         return sorted(found, key=vertices)
 
-    def minimum(self, demand: int) -> tuple[int, int]:
-        """Size of the smallest cover and its lexicographically first
-        witness; remembered per demand."""
-        known = self._minimum.get(demand)
+    def minimum(self, demand: int, anchors: int = 0) -> tuple[int, int]:
+        """Size of the smallest cover given ``anchors`` and its
+        lexicographically first witness; remembered per demand and anchors."""
+        key = demand, anchors
+        known = self._minimum.get(key)
         if known is None:
-            size, witness = self.smallest(demand)
-            known = self._minimum[demand] = size, self._lex_first(demand, size, witness)
+            size, witness = self.smallest(demand, anchors)
+            known = self._minimum[key] = size, self._lex_first(demand, size, witness, anchors)
         return known
 
-    def smallest(self, demand: int) -> tuple[int, int]:
-        """Size of the smallest cover and some cover of that size, by raising
-        the size from a greedy packing bound; remembered per demand."""
-        known = self._smallest.get(demand)
+    def smallest(self, demand: int, anchors: int = 0) -> tuple[int, int]:
+        """Size of the smallest cover given ``anchors`` and some cover of
+        that size, by raising the size from a greedy packing bound;
+        remembered per demand and anchors."""
+        key = demand, anchors
+        known = self._smallest.get(key)
         if known is None:
-            known = self._smallest[demand] = self._smallest_search(demand)
+            known = self._smallest[key] = self._smallest_search(demand, anchors)
         return known
 
-    def _smallest_search(self, demand: int) -> tuple[int, int]:
-        bound = 0  # greedy packing of pairwise disjoint rows
-        cand = self.full
+    def _smallest_search(self, demand: int, anchors: int) -> tuple[int, int]:
+        bound = 0  # greedy packing of pairwise disjoint unmet rows
+        cand = self._unmet(anchors)
         while cand:
             bound += demand
             for b in bits(self.rows[(cand & -cand).bit_length() - 1]):
                 cand &= ~self.inc[b]
-        for k in range(bound, self.universe.bit_count() + 1):
-            witness = self.find(demand, k)
+        for k in range(bound, self.n - anchors.bit_count() + 1):
+            witness = self.find(demand, k, anchors=anchors)
             if witness is not None:
                 return k, witness
         raise AssertionError("unreachable: every row keeps both vertices of its pair")
 
-    def _lex_first(self, demand: int, size: int, witness: int) -> int:
-        """The lexicographically first cover of ``size`` vertices, given one
-        such cover, when no smaller cover exists."""
+    def _lex_first(self, demand: int, size: int, witness: int, anchors: int) -> int:
+        """The lexicographically first cover of ``size`` vertices given
+        ``anchors``, given one such cover, when no smaller cover exists."""
         chosen = banned = 0
-        for bit in bits(self.universe):
+        for bit in bits(((1 << self.n) - 1) & ~anchors):
             if chosen.bit_count() == size:
                 break
             if not witness & bit:
-                other = self.find(demand, size, chosen | bit, banned)
+                other = self.find(demand, size, chosen | bit, banned, anchors)
                 if other is None:
                     banned |= bit
                     continue
@@ -297,7 +310,7 @@ class Cover:
         skipped, but the counts include them, which only weakens the cut.
         """
         inc, full = self.inc, self.full
-        tops = bits(self.universe)
+        tops = bits((1 << self.n) - 1)
         rows_of = [inc[b] for b in tops]
         m = len(tops)
         # fewer[q][k]: the rows that hold fewer than k of the vertices

@@ -156,7 +156,7 @@ class DistanceMatrix:
     def cover(self) -> Cover:
         """The distinct distinguisher masks, indexed for the exact searches,
         which remember their results on it."""
-        return Cover(self.distinguisher_masks, (1 << self.n) - 1)
+        return Cover(self.distinguisher_masks, self.n)
 
 
 @dataclass(frozen=True)

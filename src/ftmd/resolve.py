@@ -15,9 +15,9 @@ branching on the scarcest mask, basis enumeration and membership with the
 same branching at the minimum size, and the largest minimal cover by a
 vertex-order search cut with each member's private masks.  Ties are always
 broken toward the lexicographically smallest witness so outputs are
-deterministic.  The kernel remembers its minimum covers per demand on the
-distance matrix, so the searches that build on them solve them once per
-graph.
+deterministic.  Each graph has one kernel index, on its distance matrix,
+which remembers its minimum covers per demand and anchor set, so the
+searches that build on them, ``fdim_star`` too, solve them once per graph.
 """
 
 from __future__ import annotations

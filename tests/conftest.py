@@ -26,6 +26,16 @@ def connected_graphs(draw, min_n=2, max_n=8):
     return build_graph(n, sorted(edges))
 
 
+class Index:
+    """An ``operator.index`` type that is not an int."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def random_connected(rng: random.Random, n: int):
     """Seeded random connected graph (tree plus extra edges)."""
     edges = {(rng.randrange(i), i) for i in range(1, n)}

@@ -12,6 +12,7 @@ import bruteforce as bf
 from conftest import connected_graphs, random_connected
 from ftmd import (
     AnchorReuseWithinPiece,
+    Graph,
     InputFormatError,
     InvalidVertexSet,
     NonTreeAttachment,
@@ -30,6 +31,7 @@ from ftmd import (
     fdim_star_closed_form,
     figure2_decomposition,
     is_attaching_ft_resolving,
+    metric_dimension,
     path_graph,
     paw_graph,
     point_attach,
@@ -228,6 +230,24 @@ class TestFdimStar:
         # diameter 299: the wide masks go through the anchored cover search
         value = fdim_star(path_graph(300), [150], cap=300).value
         assert value == fdim_star_closed_form("path", 300, [150]) == 2
+
+    def test_same_report_before_and_after_fdim(self):
+        # the anchored searches share fdim's index and memo, which keys
+        # each result by demand and anchor set
+        rng = random.Random(28)
+        for _ in range(12):
+            n = rng.randint(8, 12)
+            edges = random_connected(rng, n).edges
+            resolving = metric_dimension(Graph(n, edges)).witness
+            anchor_sets = [(), (n - 1,), tuple(sorted(rng.sample(range(n), 2))), resolving]
+            before, after = Graph(n, edges), Graph(n, edges)
+            fdim(after)
+            for at in anchor_sets:
+                report = fdim_star(before, at)
+                assert fdim_star(after, at) == report
+                assert report.witness == bf.first_attaching_set(n, edges, at)
+            assert fdim_star(before, resolving).value == 0
+            assert fdim(before) == fdim(after)
 
     def test_string_anchor_rejected(self):
         with pytest.raises(InvalidVertexSet, match="is not an integer"):

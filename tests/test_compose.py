@@ -7,7 +7,7 @@ import random
 import pytest
 
 import bruteforce as bf
-from conftest import atlas_connected
+from conftest import Index, atlas_connected
 from ftmd import (
     IllegalParameter,
     PreconditionFailed,
@@ -241,6 +241,15 @@ class TestRootedProduct:
     def test_root_outside_the_piece(self):
         with pytest.raises(IllegalParameter, match=r"root 5 outside 0\.\.2"):
             RootedPiece(path_graph(3), 5)
+
+    def test_root_is_stored_as_an_int(self):
+        # an operator.index root is kept as its int, so the spec dumps to
+        # JSON and equal pieces compare (and share cor5's memo) as equal
+        spec = uniform_rooted_spec(path_graph(2), path_graph(3), Index(2))
+        assert spec.family[0].root.__class__ is int
+        assert json.loads(json.dumps(rooted_spec_to_json(spec)))["family"][0]["root"] == 2
+        assert spec == uniform_rooted_spec(path_graph(2), path_graph(3), 2)
+        assert RootedPiece(path_graph(3), 2) == RootedPiece(path_graph(3), Index(2))
 
     def test_family_size_must_match_base(self):
         with pytest.raises(IllegalParameter):

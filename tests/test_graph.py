@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import bruteforce as bf
-from conftest import connected_graphs, random_connected
+from conftest import Index, connected_graphs, random_connected
 from ftmd import (
     DisconnectedInput,
     DuplicateEdge,
@@ -125,16 +125,6 @@ class TestBuildGraph:
         assert bfs_rows == list(range(40))
         g.dist
         assert len(bfs_rows) == 40
-
-
-class Index:
-    """An ``operator.index`` type that is not an int."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 C6 = cycle_graph(6)
