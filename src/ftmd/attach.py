@@ -85,7 +85,13 @@ def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decompositi
     edges: list[tuple[int, int]] = []
     next_id = 0
     for index, (piece, amap) in enumerate(spec):
-        items = sorted((label(local), name) for local, name in amap.items())
+        by_local: dict[int, str] = {}
+        for local, name in amap.items():
+            local = label(local)
+            if local in by_local:
+                raise InputFormatError(f"piece {index}: anchor vertex {local} given twice")
+            by_local[local] = name
+        items = sorted(by_local.items())
         for local, name in items:
             if not isinstance(name, str):
                 raise InputFormatError(f"piece {index}: anchor name {name!r} is not a string")
@@ -99,7 +105,6 @@ def point_attach(spec: Sequence[tuple[Graph, Mapping[int, str]]]) -> Decompositi
             raise NonTreeAttachment(
                 f"piece {index} shares {len(shared)} known anchors, needs exactly 1"
             )
-        by_local = dict(items)
         ids = []
         for local in range(piece.n):
             name = by_local.get(local)

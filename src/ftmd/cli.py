@@ -248,6 +248,8 @@ def cmd_compose(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.input is not None and ns.count is not None:
+        raise InputFormatError("verify takes --input or --count, not both")
     if ns.count is not None:
         return _verify_batch(ns)
     if ns.input is None:

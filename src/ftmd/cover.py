@@ -15,9 +15,8 @@ of rows that contain it, so every step of the search is a handful of
 integer operations.  A node knows the rows that still need one or two more
 hits and the vertices not yet decided.  It fails when some row has fewer
 free vertices than it needs and forces every free vertex of a row with no
-slack.  Otherwise it branches include/exclude on a vertex of the first
-unmet row, which is a smallest one since rows are sorted by size: the
-vertex that meets the most unmet rows, the lowest on ties.  With one vertex
+slack.  Otherwise it branches include/exclude on the lowest free vertex of
+the first unmet row, a smallest one in the size order.  With one vertex
 left to pick, the candidates are narrowed row by row; with two, one of them
 lies in the first unmet row.  The only lower bound is taken once, before
 the search: a greedy packing of pairwise disjoint rows sets the first size
@@ -66,8 +65,9 @@ def vertices(mask: int) -> list[int]:
 
 
 class Cover:
-    """The distinct masks of a mask list over vertices 0..n-1, sorted by
-    size, as the rows of the searches.
+    """The distinct masks of a mask list over vertices 0..n-1, stably sorted
+    by size as the rows of the searches: the scarcest rows fail fastest, and
+    the two-vertex distinguisher masks, exactly the twin pairs, come first.
 
     ``inc`` maps each vertex, as its one-bit mask, to the rows that contain
     it, as a bitmask over row indices.
@@ -182,16 +182,10 @@ class Cover:
                     x = inc[b]
                     need1, need2 = (need1 & ~x) | (need2 & x), need2 & ~x
                 return visit(chosen | force, free & ~force, need1, need2, budget - k)
-            # branch on the first (smallest) unmet row, and there on the
-            # vertex meeting the most unmet rows
-            best = -1
-            m = rows[(need1 & -need1).bit_length() - 1] & free
-            while m:
-                b = m & -m
-                m ^= b
-                hits = (inc[b] & need1).bit_count()
-                if hits > best:
-                    best, low = hits, b
+            # branch on the lowest free vertex of the first (smallest) unmet
+            # row, which holds one since no row lacks free vertices
+            low = rows[(need1 & -need1).bit_length() - 1] & free
+            low &= -low
             x = inc[low]
             if visit(chosen | low, free & ~low, (need1 & ~x) | (need2 & x), need2 & ~x,
                      budget - 1):
@@ -221,16 +215,15 @@ class Cover:
         self._search(demand, budget, chosen, banned, anchors, stop)
         return found[0] if found else None
 
-    def all_covers(self, demand: int, size: int) -> list[int]:
-        """Every cover of ``size`` vertices, in lexicographic order, when no
-        smaller cover exists."""
+    def all_covers(self, demand: int) -> list[int]:
+        """Every cover of the minimum size, in lexicographic order."""
         found: list[int] = []
 
         def keep(cover: int) -> bool:
             found.append(cover)
             return False
 
-        self._search(demand, size, 0, 0, 0, keep)
+        self._search(demand, self.smallest(demand)[0], 0, 0, 0, keep)
         return sorted(found, key=vertices)
 
     def minimum(self, demand: int, anchors: int = 0) -> tuple[int, int]:

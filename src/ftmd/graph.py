@@ -126,8 +126,8 @@ class DistanceMatrix:
         Bit w of the mask for pair (u, v) is set when d(w, u) != d(w, v).
         A landmark set resolves the graph iff it meets every mask, and it
         tolerates any single failure iff it meets every mask twice.  Masks
-        are sorted by population count: the scarcest pairs fail fastest, and
-        the two-vertex masks, exactly the twin pairs, come first.
+        come in pair order: (u, v) with u < v, lexicographically; ``Cover``
+        sorts its rows by size.
 
         The distance rows are split into byte planes, low byte first; below
         diameter 256 the one plane is the rows themselves.  Each plane packs
@@ -149,7 +149,6 @@ class DistanceMatrix:
                     masks[i] |= m
             else:
                 masks = list(pairs)
-        masks.sort(key=int.bit_count)
         return tuple(masks)
 
     @cached_property

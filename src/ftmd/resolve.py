@@ -109,8 +109,7 @@ def enumerate_ft_bases(g: Graph, cap: int | None = None) -> tuple[tuple[int, ...
     the branching and bounds of the minimum search.
     """
     check_cap(g.n, cap, DEFAULT_ORACLE_CAP, "basis enumeration")
-    value, _ = g.dist.cover.smallest(2)
-    return tuple(tuple(vertices(b)) for b in g.dist.cover.all_covers(2, value))
+    return tuple(tuple(vertices(b)) for b in g.dist.cover.all_covers(2))
 
 
 def fdim_plus(g: Graph, cap: int | None = None) -> FtReport:

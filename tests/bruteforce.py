@@ -23,17 +23,17 @@ def nx_distances(n, edges):
 
 
 def distinguisher_masks(n, edges):
-    """The mask of every pair u < v, in pair order, then stably sorted by
-    size: bit w is set when w is at different distances from u and v.  The
-    comparison runs at every vertex of every pair, as whole distance rows
-    at a time, and each row of comparisons is packed into the mask."""
+    """The mask of every pair u < v, in pair order: bit w is set when w is
+    at different distances from u and v.  The comparison runs at every
+    vertex of every pair, as whole distance rows at a time, and each row of
+    comparisons is packed into the mask."""
     dist = np.array(nx_distances(n, edges))
     masks = []
     for u in range(n - 1):
         differs = dist[u] != dist[u + 1:]  # row j: the pair (u, u + 1 + j)
         packed = np.packbits(differs, axis=1, bitorder="little")
         masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return tuple(sorted(masks, key=lambda m: bin(m).count("1")))
+    return tuple(masks)
 
 
 def representation(dist, subset, v):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from conftest import connected_graphs, random_connected
+from conftest import Index, connected_graphs, random_connected
 from ftmd import (
     AnchorReuseWithinPiece,
     Graph,
@@ -81,6 +81,18 @@ class TestPointAttach:
     def test_anchor_vertex_out_of_range(self):
         with pytest.raises(InputFormatError, match="piece 1: anchor vertex 3 out of range"):
             point_attach([(complete_graph(3), {0: "a"}), (complete_graph(3), {3: "a"})])
+
+    @pytest.mark.parametrize("spec, message", [
+        # one vertex named "a" and "b": sorting the pairs kept "b" silently
+        ([(path_graph(3), {1: "a", Index(1): "b"}), (cycle_graph(4), {0: "b"})],
+         "piece 0: anchor vertex 1 given twice"),
+        # a None name and a string one: sorting the pairs raised TypeError
+        ([(path_graph(3), {0: "a"}), (cycle_graph(4), {0: None, Index(0): "a"})],
+         "piece 1: anchor vertex 0 given twice"),
+    ], ids=["two-names", "unsortable-names"])
+    def test_anchor_vertex_given_twice_is_refused(self, spec, message):
+        with pytest.raises(InputFormatError, match=f"^{message}$"):
+            point_attach(spec)
 
     def test_anchor_reuse_within_piece(self):
         with pytest.raises(AnchorReuseWithinPiece):

@@ -594,6 +594,12 @@ class TestVerify:
         assert main(["verify", "--theorem", "thm2"]) == 1
         assert capsys.readouterr().err == "error: verify needs --input or --count\n"
 
+    def test_input_and_count_are_refused_together(self, tmp_path, capsys):
+        # the batch once ran and the file was silently ignored
+        path = write_json(tmp_path, decomposition_to_json(figure2_decomposition()))
+        assert main(["verify", "--input", path, "--theorem", "thm2", "--count", "2"]) == 1
+        assert capsys.readouterr().err == "error: verify takes --input or --count, not both\n"
+
     def test_batch_needs_a_batched_rule(self, capsys):
         code, _ = run(capsys, "verify", "--theorem", "blocks", "--count", "3")
         assert code == 1

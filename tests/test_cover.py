@@ -30,10 +30,13 @@ def test_transpose_in_small_blocks_gives_the_same_index(monkeypatch, block):
     check_rows_and_inc()
 
 
-def check_rows_and_inc():
+def index_graphs():
     rng = random.Random(3)
-    graphs = [path_graph(6), cycle_graph(7), *(random_connected(rng, n) for n in (8, 10, 12))]
-    for g in graphs:
+    return [path_graph(6), cycle_graph(7), *(random_connected(rng, n) for n in (8, 10, 12))]
+
+
+def check_rows_and_inc():
+    for g in index_graphs():
         masks = g.dist.distinguisher_masks
         cover = Cover(masks, g.n)
         distinct = set(masks)
@@ -44,6 +47,16 @@ def check_rows_and_inc():
         for v in range(g.n):
             held = {i for i, r in enumerate(cover.rows) if r >> v & 1}
             assert {i for i in range(len(cover.rows)) if cover.inc[1 << v] >> i & 1} == held
+
+
+def test_presorted_masks_give_the_same_index():
+    # the masks come in pair order; sorting them by size first changes
+    # nothing, since the rows are stably sorted by the same key
+    for g in index_graphs():
+        masks = g.dist.distinguisher_masks
+        cover, presorted = Cover(masks, g.n), Cover(sorted(masks, key=int.bit_count), g.n)
+        assert cover.rows == presorted.rows
+        assert cover.inc == presorted.inc
 
 
 def test_one_graph_builds_one_index(monkeypatch):
